@@ -434,7 +434,7 @@ impl AppendTxn<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use er_rules::SchemaMatch;
     use er_table::{Attribute, Pool, RelationBuilder};

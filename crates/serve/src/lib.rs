@@ -13,9 +13,10 @@
 //!
 //! * **pipe mode** ([`serve_pipe`]) — stdin/stdout, for shell pipelines and
 //!   supervisors that speak over a pipe pair;
-//! * **socket mode** ([`TcpServer`]) — a `std::net::TcpListener` with a
-//!   bounded accept queue and a fixed worker pool, each connection speaking
-//!   the same line protocol.
+//! * **socket mode** ([`TcpServer`]) — a `std::net::TcpListener` whose
+//!   acceptor admits at most `workers + queue_capacity` connections and
+//!   gives each a blocking session thread speaking the same line protocol;
+//!   at most `workers` requests execute at once.
 //!
 //! Operational behaviour is explicit rather than implicit:
 //!
@@ -25,11 +26,14 @@
 //!   without bound.
 //! * **deadlines** — an optional per-request deadline aborts a repair
 //!   between rule chunks ([`er_rules::BatchError::DeadlineExceeded`]).
-//! * **graceful drain** — the `shutdown` op (or [`Server::begin_drain`])
-//!   stops the accept loop and lets every request whose line has been fully
-//!   read finish and receive its response before connections close. The
-//!   workspace forbids `unsafe`, so there is no signal handler; supervisors
-//!   should close stdin (pipe mode) or send `{"op":"shutdown"}`.
+//! * **graceful drain** — the `shutdown` op (or [`TcpServer::shutdown`])
+//!   stops the acceptor and lets every request already dispatched finish
+//!   and receive its response before its connection closes. The workspace
+//!   forbids `unsafe`, so there is no signal handler; supervisors should
+//!   close stdin (pipe mode) or send `{"op":"shutdown"}`.
+//! * **contained panics** — in socket mode a panic inside a request is
+//!   caught, answered with `{"ok":false,"error":"internal error"}`, and
+//!   counted as `panics` in `stats`; the connection stays open.
 //! * **metrics** — request/repair/error counters and p50/p99 latency over a
 //!   sliding window, served by the `stats` op and an optional periodic
 //!   stderr log line.

@@ -41,6 +41,7 @@ pub struct Metrics {
     repaired_cells: AtomicU64,
     errors: AtomicU64,
     overloaded: AtomicU64,
+    panics: AtomicU64,
     reloads: AtomicU64,
     appends: AtomicU64,
     diffs: AtomicU64,
@@ -91,6 +92,7 @@ impl Metrics {
             repaired_cells: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             diffs: AtomicU64::new(0),
@@ -137,6 +139,12 @@ impl Metrics {
     /// Count one request refused with the backpressure response.
     pub fn record_overloaded(&self) {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one request whose handling panicked (contained and answered
+    /// with an error by the TCP front-end).
+    pub fn record_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one successful engine reload.
@@ -226,6 +234,7 @@ impl Metrics {
             repaired_cells: self.repaired_cells.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
             appends: self.appends.load(Ordering::Relaxed),
             diffs: self.diffs.load(Ordering::Relaxed),
@@ -274,6 +283,8 @@ pub struct Snapshot {
     pub errors: u64,
     /// Requests refused with the backpressure response.
     pub overloaded: u64,
+    /// Requests whose handling panicked; each was answered with an error.
+    pub panics: u64,
     /// Successful engine reloads.
     pub reloads: u64,
     /// Successful master appends.
@@ -351,6 +362,7 @@ impl Snapshot {
             ),
             ("errors".to_string(), Json::UInt(self.errors)),
             ("overloaded".to_string(), Json::UInt(self.overloaded)),
+            ("panics".to_string(), Json::UInt(self.panics)),
             ("reloads".to_string(), Json::UInt(self.reloads)),
             ("appends".to_string(), Json::UInt(self.appends)),
             ("diffs".to_string(), Json::UInt(self.diffs)),
@@ -405,12 +417,13 @@ impl Snapshot {
     /// One human-readable line for the periodic stderr log.
     pub fn log_line(&self) -> String {
         format!(
-            "serve: requests={} repairs={} fixed={} errors={} overloaded={} reloads={} appends={} rejected={} gen={} dedup={:.1} queue={} p50={}us p99={}us",
+            "serve: requests={} repairs={} fixed={} errors={} overloaded={} panics={} reloads={} appends={} rejected={} gen={} dedup={:.1} queue={} p50={}us p99={}us",
             self.requests,
             self.repairs,
             self.repaired_cells,
             self.errors,
             self.overloaded,
+            self.panics,
             self.reloads,
             self.appends,
             self.rejected,
@@ -436,12 +449,14 @@ mod tests {
         m.record_repair(Duration::from_micros(100), 3);
         m.record_error();
         m.record_overloaded();
+        m.record_panic();
         let s = m.snapshot(1);
         assert_eq!(s.requests, 2);
         assert_eq!(s.repairs, 1);
         assert_eq!(s.repaired_cells, 3);
         assert_eq!(s.errors, 1);
         assert_eq!(s.overloaded, 1);
+        assert_eq!(s.panics, 1);
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.p50_us, 100);
     }

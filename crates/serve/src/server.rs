@@ -26,16 +26,16 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Optional per-request repair deadline. `None` = unbounded.
     pub deadline: Option<Duration>,
-    /// Maximum repair requests in flight (and, in socket mode, maximum
-    /// accepted connections waiting for a worker). Excess requests receive
-    /// the `overloaded` backpressure response immediately.
+    /// Maximum repair requests in flight; excess requests receive the
+    /// `overloaded` backpressure response immediately. Socket mode also
+    /// refuses connections beyond `workers + queue_capacity` live ones.
     pub queue_capacity: usize,
     /// Maximum request line length in bytes; longer lines are consumed and
     /// answered with an error without being buffered.
     pub max_line_bytes: usize,
     /// Maximum rows one `repair` request may carry.
     pub max_batch_rows: usize,
-    /// Connection-handling worker threads in socket mode.
+    /// Requests executing at once in socket mode.
     pub workers: usize,
     /// Emit the metrics log line to stderr every N requests (0 = never).
     pub log_every: u64,
@@ -84,6 +84,20 @@ pub struct Server {
     store: Mutex<RuleStore>,
     in_flight: AtomicUsize,
     draining: AtomicBool,
+    /// Test-only fault injection: runs inside every `repair` while its
+    /// backpressure slot is held.
+    #[cfg(test)]
+    pub(crate) repair_hook: Option<Box<dyn Fn() + Send + Sync>>,
+}
+
+/// A claimed in-flight backpressure slot, released on drop (unwinding
+/// included, so a panicking request cannot leak it).
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Distinct error-severity diagnostic codes of a report, for the
@@ -126,6 +140,8 @@ impl Server {
             store: Mutex::new(store),
             in_flight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
+            #[cfg(test)]
+            repair_hook: None,
         }
     }
 
@@ -171,9 +187,22 @@ impl Server {
     }
 
     /// Begin a graceful drain: front-ends stop accepting new work, finish
-    /// the requests they have fully read, and close.
+    /// the requests they have dispatched, and close. This only sets the
+    /// flag; a TCP front-end acts on it at once only through
+    /// [`crate::TcpServer::shutdown`] or the `shutdown` op, which also wake
+    /// its blocked threads.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
+    }
+
+    /// Count and render the error answer for a request line longer than
+    /// `max_line_bytes` (the bounded reader already consumed it).
+    pub(crate) fn line_too_long(&self) -> String {
+        self.metrics.record_error();
+        proto::error(&format!(
+            "line exceeds {} bytes",
+            self.config.max_line_bytes
+        ))
     }
 
     /// Handle one request line. `batch` is the session's reusable row
@@ -351,9 +380,13 @@ impl Server {
 
     fn handle_repair(&self, rows: &[Vec<Value>]) -> (String, bool) {
         // Admission control: claim an in-flight slot or push back.
-        if !self.try_claim_slot() {
+        let Some(slot) = self.try_claim_slot() else {
             self.metrics.record_overloaded();
             return (proto::overloaded(), false);
+        };
+        #[cfg(test)]
+        if let Some(hook) = &self.repair_hook {
+            hook();
         }
         let started = Instant::now();
         let deadline = self.config.deadline.map(|d| started + d);
@@ -365,7 +398,7 @@ impl Server {
             self.publish_shard_stats(&engine);
             (result, engine.vote_stats())
         };
-        self.release_slot();
+        drop(slot);
         match result {
             Ok(outcome) => {
                 self.metrics
@@ -380,31 +413,24 @@ impl Server {
         }
     }
 
-    /// Try to claim one in-flight backpressure slot; false = at capacity.
-    fn try_claim_slot(&self) -> bool {
+    /// Try to claim one in-flight backpressure slot; `None` = at capacity.
+    fn try_claim_slot(&self) -> Option<Slot<'_>> {
         let depth = self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if depth >= self.config.queue_capacity {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        true
-    }
-
-    /// Release a previously claimed backpressure slot.
-    fn release_slot(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        // The guard owns the increment either way: refusing drops it.
+        let slot = Slot(&self.in_flight);
+        (depth < self.config.queue_capacity).then_some(slot)
     }
 
     /// Claim a slot, waiting for one to free up instead of refusing —
     /// used between `repair_csv` chunks, where the file as a whole was
-    /// already admitted. Gives up (false) once a drain begins.
-    fn claim_slot_waiting(&self) -> bool {
+    /// already admitted. Gives up (`None`) once a drain begins.
+    fn claim_slot_waiting(&self) -> Option<Slot<'_>> {
         loop {
-            if self.try_claim_slot() {
-                return true;
+            if let Some(slot) = self.try_claim_slot() {
+                return Some(slot);
             }
             if self.is_draining() {
-                return false;
+                return None;
             }
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -418,13 +444,12 @@ impl Server {
     /// The configured deadline is applied per chunk — a bounded deadline
     /// bounds each chunk's vote, not the whole (arbitrarily long) file.
     fn handle_repair_csv(&self, path: &str, chunk_bytes: Option<usize>) -> (String, bool) {
-        if !self.try_claim_slot() {
+        // Between chunks the stream loop claims its own slot, so the
+        // admission claim is dropped at once and never double-counts.
+        if self.try_claim_slot().is_none() {
             self.metrics.record_overloaded();
             return (proto::overloaded(), false);
         }
-        // Between chunks the stream loop claims its own slot; drop the
-        // admission claim so it never double-counts.
-        self.release_slot();
         let result = self.repair_csv_stream(path, chunk_bytes);
         match result {
             Ok((rows, chunks, fixed)) => (proto::ok_repair_csv(rows, chunks, fixed), false),
@@ -467,9 +492,9 @@ impl Server {
             // One backpressure slot per chunk: between chunks the slot is
             // free and interactive repairs can slip in (waiting here, not
             // refusing — the file itself was admitted up front).
-            if !self.claim_slot_waiting() {
+            let Some(slot) = self.claim_slot_waiting() else {
                 return Err("repair_csv: server is draining".into());
-            }
+            };
             let started = Instant::now();
             let deadline = self.config.deadline.map(|d| started + d);
             let (result, votes) = {
@@ -478,7 +503,7 @@ impl Server {
                 self.publish_shard_stats(&engine);
                 (result, engine.vote_stats())
             };
-            self.release_slot();
+            drop(slot);
             let outcome = result.map_err(|e| format!("repair_csv: {e}"))?;
             self.metrics
                 .record_repair(started.elapsed(), outcome.fixed());
@@ -566,15 +591,7 @@ pub fn serve_pipe<R: BufRead, W: Write>(
         match read_bounded_line(reader, server.config().max_line_bytes)? {
             LineRead::Eof => break,
             LineRead::TooLong => {
-                server.metrics().record_error();
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::error(&format!(
-                        "line exceeds {} bytes",
-                        server.config().max_line_bytes
-                    ))
-                )?;
+                writeln!(writer, "{}", server.line_too_long())?;
                 writer.flush()?;
             }
             LineRead::Line(line) => {

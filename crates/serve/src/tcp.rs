@@ -1,149 +1,140 @@
-//! Socket mode: a readiness-based event loop over non-blocking `std::net`
-//! sockets.
+//! Socket mode: one blocking session thread per admitted connection.
 //!
-//! One reactor thread owns the listener and every connection: it accepts,
-//! reads and frames request lines, and writes responses, all non-blocking
-//! (the workspace forbids `unsafe`, so instead of `poll(2)` the reactor
-//! scans its sockets and sleeps [`POLL`] between empty scans — the same
-//! discipline the previous accept loop used, now for all I/O). Requests are
-//! dispatched to a pool of `config.workers` worker threads over a channel;
-//! responses flow back to the reactor, which owns all socket writes. Each
-//! connection has **at most one request in flight**, so per-connection
-//! responses stay in request order while different connections repair in
-//! parallel.
+//! An acceptor thread blocks in `accept`. Each admitted connection gets a
+//! session thread that frames request lines with the pipe mode's bounded
+//! reader, calls [`Server::handle_line`], and writes each response with a
+//! single `write_all`. The kernel wakes a session as soon as its bytes
+//! arrive, so nothing polls. A session handles one line at a time, so its
+//! responses stay in request order, and a client that stops reading blocks
+//! only its own session.
 //!
-//! Backpressure is applied at two doors: a connection arriving while
-//! `workers + queue_capacity` connections are live is answered with the
-//! `overloaded` response and closed, and a `repair` request arriving while
-//! `queue_capacity` repairs are in flight gets the same response from
-//! [`Server::handle_line`].
+//! Concurrency is bounded at two doors:
 //!
-//! The drain protocol (no signal handler — drains start from a `shutdown`
-//! op or [`TcpServer::shutdown`]):
+//! * at most `config.workers` requests execute at once — a counting gate
+//!   around `handle_line`, whose permit is an RAII guard so a contained
+//!   request panic still returns it;
+//! * a connection arriving while `workers + queue_capacity` sessions are
+//!   live is answered with the `overloaded` response and closed (and a
+//!   `repair` arriving while `queue_capacity` repairs are in flight gets
+//!   the same response from [`Server::handle_line`]).
 //!
-//! 1. the draining flag flips; the reactor stops accepting,
-//! 2. idle connections (nothing dispatched, nothing buffered to write) are
-//!    closed immediately — including connections whose buffered bytes were
-//!    never dispatched to a worker (nothing was promised for them),
-//! 3. requests already dispatched get their responses written, then their
-//!    connections close; once none remain the job channel closes and every
-//!    worker exits.
+//! The drain (no signal handler — drains start from a `shutdown` op or
+//! [`TcpServer::shutdown`]): the draining flag flips, the read half of
+//! every live stream is shut down so blocked reads return, and one
+//! loopback connect wakes the acceptor, which then stops accepting. A
+//! session checks the flag after every read, so a request it has already
+//! dispatched is answered before its connection closes, and a line read
+//! after the drain began is dropped unanswered.
 
 use crate::proto::RowBatch;
-use crate::server::Server;
+use crate::server::{read_bounded_line, LineRead, Server};
 use crate::{lock, proto};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::io::{self, BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Reactor sleep between scans that made no progress: short enough that
-/// accept/read latency stays well under a millisecond of added tail, long
-/// enough that an idle server costs ~no CPU.
-const POLL: Duration = Duration::from_micros(500);
-
-/// Read chunk size per connection per scan.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// A framed request line headed to the worker pool.
-struct Job {
-    token: u64,
-    line: String,
-}
-
-/// A finished response headed back to the reactor.
-struct Done {
-    token: u64,
-    response: String,
-    stop: bool,
-}
-
-/// Per-connection reactor state.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet framed into a line.
-    rbuf: Vec<u8>,
-    /// Response bytes not yet written, starting at `wpos`.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// A request line was dispatched and its response is still pending.
-    busy: bool,
-    /// Close once `wbuf` fully flushes (set by a `stop` response).
-    stop_after_flush: bool,
-    /// The peer half-closed its write side; serve what was buffered, then
-    /// close once nothing remains to answer.
-    peer_eof: bool,
-    /// Inside an oversized line: discard bytes until its newline, then
-    /// answer with the line-too-long error.
-    too_long: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            busy: false,
-            stop_after_flush: false,
-            peer_eof: false,
-            too_long: false,
-        }
-    }
-
-    fn queue_response(&mut self, response: &str) {
-        self.wbuf.extend_from_slice(response.as_bytes());
-        self.wbuf.push(b'\n');
-    }
-
-    fn has_pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-}
 
 /// A running TCP front-end.
 pub struct TcpServer {
     addr: SocketAddr,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
+}
+
+/// State shared by the acceptor, the sessions and the embedder.
+struct Shared {
     server: Arc<Server>,
+    /// Where the drain's wake-up connect goes.
+    wake_addr: SocketAddr,
+    /// A clone of every live session's stream, by session id: the
+    /// admission count, and the handles the drain shuts down.
+    live: Mutex<BTreeMap<u64, TcpStream>>,
+    /// Requests inside `handle_line` right now (at most `config.workers`).
+    running: Mutex<usize>,
+    permit_freed: Condvar,
+}
+
+/// One execution slot of the gate; returned on drop, unwinding included.
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.running) -= 1;
+        self.0.permit_freed.notify_one();
+    }
+}
+
+impl Shared {
+    /// Wait until fewer than `config.workers` requests are executing.
+    fn permit(&self) -> Permit<'_> {
+        let limit = self.server.config().workers.max(1);
+        let mut running = lock(&self.running);
+        while *running >= limit {
+            running = self
+                .permit_freed
+                .wait(running)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *running += 1;
+        Permit(self)
+    }
+
+    /// Handle one request line under an execution permit. A panic inside
+    /// the request is contained: it is counted, answered with an error, and
+    /// the session carries on.
+    fn execute(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
+        let _permit = self.permit();
+        catch_unwind(AssertUnwindSafe(|| self.server.handle_line(line, batch))).unwrap_or_else(
+            |_| {
+                self.server.metrics().record_panic();
+                (proto::error("internal error"), false)
+            },
+        )
+    }
+
+    /// Begin the drain: flip the flag, unblock every session's read, and
+    /// wake the acceptor out of `accept`.
+    fn drain(&self) {
+        self.server.begin_drain();
+        for stream in lock(&self.live).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        // The acceptor re-checks the flag on every accepted connection; if
+        // this connect fails it stops at the next real client instead.
+        let _ = TcpStream::connect(self.wake_addr);
+    }
 }
 
 impl TcpServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the reactor thread plus
-    /// `config.workers` request workers.
+    /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the acceptor thread.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let workers = (0..server.config().workers.max(1))
-            .map(|_| {
-                let server = Arc::clone(&server);
-                let jobs = Arc::clone(&job_rx);
-                let done = done_tx.clone();
-                std::thread::spawn(move || worker_loop(&server, &jobs, &done))
-            })
-            .collect();
-        // The reactor owns the only remaining `done_tx` clone holder set
-        // (the workers); dropping `done_tx` here keeps the channel's sender
-        // count equal to the worker count.
-        drop(done_tx);
-        let reactor = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || reactor_loop(&listener, &server, job_tx, &done_rx))
+        let mut wake_addr = addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let shared = Arc::new(Shared {
+            server,
+            wake_addr,
+            live: Mutex::new(BTreeMap::new()),
+            running: Mutex::new(0),
+            permit_freed: Condvar::new(),
+        });
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&shared, &listener))
         };
         Ok(TcpServer {
             addr,
-            reactor: Some(reactor),
-            workers,
-            server,
+            shared,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -154,257 +145,194 @@ impl TcpServer {
 
     /// Begin a graceful drain from outside the protocol.
     pub fn shutdown(&self) {
-        self.server.begin_drain();
+        self.shared.drain();
     }
 
     /// Wait for the drain to complete and every thread to exit.
     pub fn join(mut self) {
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
+        if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// Prepare an accepted socket for the reactor: `TCP_NODELAY` on the server
-/// side (small response lines must not wait for delayed ACKs) and
-/// non-blocking mode for the scan loop.
-fn prepare_accepted(stream: &TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)
-}
-
 /// Answer an over-capacity connection with the backpressure response. The
-/// socket is fresh (empty send buffer), so a single non-blocking write of
-/// one short line succeeds in practice; a peer that manages to fill the
-/// window anyway just sees the close.
+/// socket is fresh (empty send buffer), so one short line goes out at
+/// once; the timeout only bounds a pathological peer.
 fn refuse(mut stream: TcpStream, server: &Server) {
     server.metrics().record_overloaded();
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = writeln!(stream, "{}", proto::overloaded());
 }
 
-fn worker_loop(server: &Server, jobs: &Mutex<mpsc::Receiver<Job>>, done: &mpsc::Sender<Done>) {
-    // One reusable row buffer per worker (a worker decodes one request at a
-    // time, so the buffer lives as long as the thread).
-    let mut batch = RowBatch::new();
-    loop {
-        // Hold the receiver lock across the blocking recv: idle co-workers
-        // queue on the mutex instead of the channel, which is equivalent,
-        // and the channel closing (reactor exit) wakes everyone in turn.
-        let job = {
-            let rx = lock(jobs);
-            rx.recv()
-        };
-        let Ok(job) = job else { break };
-        let (response, stop) = server.handle_line(&job.line, &mut batch);
-        if done
-            .send(Done {
-                token: job.token,
-                response,
-                stop,
-            })
-            .is_err()
-        {
+/// Accept until the drain begins, then join every session.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    let config = shared.server.config();
+    let admit_cap = config.workers.max(1) + config.queue_capacity;
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
+    for stream in listener.incoming() {
+        let (done, running): (Vec<_>, Vec<_>) =
+            sessions.into_iter().partition(JoinHandle::is_finished);
+        sessions = running;
+        for handle in done {
+            let _ = handle.join();
+        }
+        let Ok(stream) = stream else { continue };
+        let mut live = lock(&shared.live);
+        // Checked under the registry lock: a drain either sees this
+        // session registered or this check sees the drain.
+        if shared.server.is_draining() {
             break;
         }
+        if live.len() >= admit_cap {
+            drop(live);
+            refuse(stream, &shared.server);
+            continue;
+        }
+        // Small response lines must not wait for delayed ACKs.
+        if stream.set_nodelay(true).is_err() {
+            continue;
+        }
+        let Ok(registered) = stream.try_clone() else {
+            continue;
+        };
+        let id = next_id;
+        next_id += 1;
+        live.insert(id, registered);
+        drop(live);
+        let session_shared = Arc::clone(shared);
+        match std::thread::Builder::new()
+            .name("er-serve-session".into())
+            .spawn(move || session(&session_shared, id, &stream))
+        {
+            Ok(handle) => sessions.push(handle),
+            Err(_) => {
+                lock(&shared.live).remove(&id);
+            }
+        }
+    }
+    for handle in sessions {
+        let _ = handle.join();
     }
 }
 
-fn reactor_loop(
-    listener: &TcpListener,
-    server: &Server,
-    job_tx: mpsc::Sender<Job>,
-    done_rx: &mpsc::Receiver<Done>,
-) {
-    let max_line = server.config().max_line_bytes;
-    let admit_cap = server.config().workers.max(1) + server.config().queue_capacity;
-    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
-    let mut next_token = 0u64;
+/// Serve one connection until EOF, a socket error, a `stop` response, or
+/// the drain.
+fn session(shared: &Shared, id: u64, stream: &TcpStream) {
+    let server = &shared.server;
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    // One reusable row buffer for the whole connection.
+    let mut batch = RowBatch::new();
     loop {
-        let mut progress = false;
-        let draining = server.is_draining();
-
-        // Accept new connections (until the drain begins).
-        if !draining {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        progress = true;
-                        if conns.len() >= admit_cap {
-                            refuse(stream, server);
-                            continue;
-                        }
-                        if prepare_accepted(&stream).is_err() {
-                            continue;
-                        }
-                        conns.insert(next_token, Conn::new(stream));
-                        next_token += 1;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => break,
-                    Err(_) => break,
-                }
-            }
+        let read = read_bounded_line(&mut reader, server.config().max_line_bytes);
+        if server.is_draining() {
+            break;
         }
-
-        // Collect finished responses.
-        while let Ok(done) = done_rx.try_recv() {
-            progress = true;
-            if let Some(conn) = conns.get_mut(&done.token) {
-                conn.queue_response(&done.response);
-                conn.busy = false;
-                conn.stop_after_flush |= done.stop;
-            }
+        let (mut response, stop) = match read {
+            Ok(LineRead::Line(line)) if line.trim().is_empty() => continue,
+            Ok(LineRead::Line(line)) => shared.execute(&line, &mut batch),
+            Ok(LineRead::TooLong) => (server.line_too_long(), false),
+            Ok(LineRead::Eof) | Err(_) => break,
+        };
+        response.push('\n');
+        let sent = writer.write_all(response.as_bytes()).is_ok();
+        if stop {
+            shared.drain();
         }
-
-        // Per-connection read / frame / dispatch / flush.
-        let tokens: Vec<u64> = conns.keys().copied().collect();
-        for token in tokens {
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            let mut dead = false;
-
-            // Read only when idle with nothing queued to write: an in-flight
-            // request or a partially written response already bounds this
-            // connection's buffers, and TCP backpressures the peer.
-            if !conn.busy && !conn.has_pending_write() && !conn.peer_eof && !draining {
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            conn.peer_eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progress = true;
-                            conn.rbuf.extend_from_slice(&chunk[..n]);
-                            // One framed line is enough until its response
-                            // comes back; stop pulling more bytes.
-                            if conn.rbuf.contains(&b'\n') {
-                                break;
-                            }
-                            if conn.rbuf.len() > max_line {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Frame and dispatch at most one request (one in flight per
-            // connection keeps response order).
-            while !dead && !conn.busy && !draining {
-                if conn.too_long {
-                    // Inside an oversized line: drop bytes until its end.
-                    match conn.rbuf.iter().position(|&b| b == b'\n') {
-                        Some(pos) => {
-                            conn.rbuf.drain(..=pos);
-                            conn.too_long = false;
-                            server.metrics().record_error();
-                            let message = format!("line exceeds {max_line} bytes");
-                            conn.queue_response(&proto::error(&message));
-                            progress = true;
-                        }
-                        None => {
-                            if !conn.rbuf.is_empty() {
-                                conn.rbuf.clear();
-                            }
-                            if conn.peer_eof {
-                                // Unterminated oversized tail: still an error.
-                                conn.too_long = false;
-                                server.metrics().record_error();
-                                let message = format!("line exceeds {max_line} bytes");
-                                conn.queue_response(&proto::error(&message));
-                                progress = true;
-                            }
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                let line = match conn.rbuf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                        String::from_utf8_lossy(&line[..pos]).into_owned()
-                    }
-                    None if conn.rbuf.len() > max_line => {
-                        conn.too_long = true;
-                        conn.rbuf.clear();
-                        continue;
-                    }
-                    None if conn.peer_eof && !conn.rbuf.is_empty() => {
-                        // EOF: a trailing unterminated line still counts.
-                        let line = String::from_utf8_lossy(&conn.rbuf).into_owned();
-                        conn.rbuf.clear();
-                        line
-                    }
-                    None => break,
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if job_tx.send(Job { token, line }).is_ok() {
-                    conn.busy = true;
-                    progress = true;
-                }
-                break;
-            }
-
-            // Flush pending response bytes.
-            while !dead && conn.has_pending_write() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        dead = true;
-                    }
-                    Ok(n) => {
-                        progress = true;
-                        conn.wpos += n;
-                        if conn.wpos == conn.wbuf.len() {
-                            conn.wbuf.clear();
-                            conn.wpos = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                    }
-                }
-            }
-
-            // Close: on socket error; after a `stop` response flushed; when
-            // the peer is gone and nothing remains to answer; or when a
-            // drain finds the connection idle (nothing promised).
-            let flushed = !conn.has_pending_write();
-            let idle = !conn.busy && flushed;
-            if dead
-                || (conn.stop_after_flush && idle)
-                || (conn.peer_eof && idle && conn.rbuf.is_empty())
-                || (draining && idle)
-            {
-                conns.remove(&token);
-                progress = true;
-            }
+        if stop || !sent {
+            break;
         }
+    }
+    lock(&shared.live).remove(&id);
+}
 
-        if draining && conns.is_empty() {
-            // Dropping `job_tx` (on return) closes the channel; workers
-            // drain and exit.
-            return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::covid_task;
+    use crate::{RepairEngine, ServeConfig};
+    use er_rules::EditingRule;
+    use std::io::BufRead;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+
+    fn call(addr: SocketAddr, requests: &[&str]) -> Vec<String> {
+        let stream = TcpStream::connect(addr).unwrap();
+        // A session that died must fail the test, not hang it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        requests
+            .iter()
+            .map(|request| {
+                writeln!(writer, "{request}").unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line.trim_end().to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn contained_panics_return_their_permits_and_slots() {
+        const WORKERS: usize = 2;
+        const PANICS: usize = 3;
+        let rules = vec![EditingRule::new(vec![(0, 0)], (1, 1), vec![])];
+        let engine = RepairEngine::new(&covid_task(), rules, 0).unwrap();
+        let mut server = Server::new(
+            engine,
+            ServeConfig {
+                workers: WORKERS,
+                ..ServeConfig::default()
+            },
+        );
+        // The first PANICS repairs panic while holding their permit and
+        // backpressure slot; later ones meet at a rendezvous that only
+        // opens once WORKERS repairs are executing at the same time.
+        let calls = AtomicUsize::new(0);
+        let rendezvous = Barrier::new(WORKERS);
+        server.repair_hook = Some(Box::new(move || {
+            if calls.fetch_add(1, Ordering::SeqCst) < PANICS {
+                panic!("injected request panic");
+            }
+            rendezvous.wait();
+        }));
+        let tcp = TcpServer::bind(Arc::new(server), "127.0.0.1:0").unwrap();
+        let addr = tcp.local_addr();
+        let repair = r#"{"op":"repair","rows":[["HZ",null]]}"#;
+
+        // Each panic is answered, and the connection stays open.
+        let mut requests = vec![repair; PANICS];
+        requests.push(r#"{"op":"stats"}"#);
+        let responses = call(addr, &requests);
+        for response in &responses[..PANICS] {
+            assert_eq!(response, &proto::error("internal error"));
         }
-        if !progress {
-            std::thread::sleep(POLL);
+        let stats = &responses[PANICS];
+        assert!(stats.contains(&format!("\"panics\":{PANICS}")), "{stats}");
+        assert!(stats.contains("\"queue_depth\":0"), "slot leaked: {stats}");
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let clients: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                let done = done_tx.clone();
+                std::thread::spawn(move || done.send(call(addr, &[repair])).unwrap())
+            })
+            .collect();
+        for _ in 0..WORKERS {
+            let responses = done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a panic leaked an execution permit");
+            assert!(responses[0].contains("\"ok\":true"), "{responses:?}");
         }
+        for client in clients {
+            client.join().unwrap();
+        }
+        tcp.shutdown();
+        tcp.join();
     }
 }

@@ -416,3 +416,202 @@ fn full_accept_queue_is_refused_with_backpressure() {
     tcp.shutdown();
     tcp.join();
 }
+
+#[test]
+fn deeply_nested_line_is_an_error_not_a_crash() {
+    let (_server, tcp, _batch, _) = start(ServeConfig::default());
+    let addr = tcp.local_addr();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    // 200 KB of openers: within max_line_bytes, far past the parser's
+    // nesting limit.
+    writeln!(writer, "{}", "[".repeat(200_000)).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("{\"ok\":false"), "{line}");
+    // The server is still up: a fresh connection is answered.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writeln!(writer, "{{\"op\":\"ping\"}}").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ping\""), "{line}");
+    tcp.shutdown();
+    tcp.join();
+}
+
+/// Rows per pipelined request of the slow-reader tests, and the padding
+/// that makes each request cost about as many bytes as its response.
+const STALL_ROWS: usize = 64;
+const STALL_PAD: usize = 3000;
+
+/// The `i`-th pipelined request: `STALL_ROWS` copies of city `C{i % 5}`,
+/// whose answer is `ac{i % 5}` in every row (cities C0..C4 are
+/// unambiguous in the fixture), so responses show their request order.
+fn stall_request(i: usize) -> Vec<u8> {
+    let rows = vec![format!("[\"C{}\",null]", i % 5); STALL_ROWS].join(",");
+    let pad = "x".repeat(STALL_PAD);
+    format!("{{\"op\":\"repair\",\"pad\":\"{pad}\",\"rows\":[{rows}]}}\n").into_bytes()
+}
+
+fn assert_answers_request(response: &str, i: usize) {
+    assert!(
+        response.contains(&format!("\"rows\":{STALL_ROWS},"))
+            && response.contains(&format!("\"value\":\"ac{}\"", i % 5))
+            && !response.contains(&format!("\"value\":\"ac{}\"", (i + 1) % 5)),
+        "response {i} answers another request: {}",
+        &response[..response.len().min(200)]
+    );
+}
+
+/// A connection that pipelines requests without reading, until its send
+/// buffer is full and the server has stopped reading from it.
+struct Stalled {
+    stream: TcpStream,
+    /// Requests fully written.
+    sent: usize,
+    /// Unwritten tail of request `sent`.
+    tail: Vec<u8>,
+}
+
+fn stall(addr: std::net::SocketAddr, server: &Server) -> Stalled {
+    use std::time::Duration;
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nonblocking(true).unwrap();
+    let mut sent = 0;
+    let mut tail = stall_request(0);
+    let mut idle_polls = 0;
+    let mut last_requests = server.snapshot().requests;
+    // Stalled: writes would block and the server-side request count has
+    // not moved for 20 consecutive 10 ms polls.
+    while idle_polls < 20 {
+        match stream.write(&tail) {
+            Ok(n) if n == tail.len() => {
+                sent += 1;
+                tail = stall_request(sent);
+            }
+            Ok(n) => {
+                tail.drain(..n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(10));
+                let requests = server.snapshot().requests;
+                idle_polls = if requests == last_requests {
+                    idle_polls + 1
+                } else {
+                    0
+                };
+                last_requests = requests;
+            }
+            Err(e) => panic!("pipelining write failed: {e}"),
+        }
+    }
+    stream.set_nonblocking(false).unwrap();
+    Stalled { stream, sent, tail }
+}
+
+/// Round trips on a fresh connection, each within one second.
+fn answered_promptly(addr: std::net::SocketAddr, requests: &[String]) -> Vec<String> {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    requests
+        .iter()
+        .map(|request| {
+            let started = std::time::Instant::now();
+            writeln!(writer, "{request}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(1),
+                "{request} took {:?} behind a stalled reader",
+                started.elapsed()
+            );
+            line
+        })
+        .collect()
+}
+
+#[test]
+fn slow_reader_blocks_only_its_own_connection() {
+    let (server, tcp, batch, expected) = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = tcp.local_addr();
+    let stalled = stall(addr, &server);
+    assert!(stalled.sent > 0);
+
+    let responses = answered_promptly(
+        addr,
+        &["{\"op\":\"ping\"}".to_string(), batch_request(&batch)],
+    );
+    assert!(responses[0].contains("\"ping\""), "{}", responses[0]);
+    assert!(responses[1].contains(&expected), "{}", responses[1]);
+
+    // Finish the half-written request from a second thread (the server can
+    // only take it once this side reads), then read every answer in order.
+    let Stalled { stream, sent, tail } = stalled;
+    let mut writer = stream.try_clone().unwrap();
+    let finisher = std::thread::spawn(move || {
+        writer.write_all(&tail).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+    let mut reader = BufReader::new(stream);
+    let mut answered = 0;
+    let mut line = String::new();
+    while reader.read_line(&mut line).unwrap() > 0 {
+        assert_answers_request(&line, answered);
+        answered += 1;
+        line.clear();
+    }
+    finisher.join().unwrap();
+    assert_eq!(answered, sent + 1, "every pipelined request is answered");
+    tcp.shutdown();
+    tcp.join();
+}
+
+#[test]
+fn drain_waits_for_a_stalled_reader_and_answers_the_others() {
+    let (server, tcp, batch, expected) = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = tcp.local_addr();
+    let stalled = stall(addr, &server);
+
+    let responses = answered_promptly(
+        addr,
+        &[batch_request(&batch), "{\"op\":\"shutdown\"}".to_string()],
+    );
+    assert!(responses[0].contains(&expected), "{}", responses[0]);
+    assert!(responses[1].contains("\"shutdown\""), "{}", responses[1]);
+
+    // The stalled session owes the answer it is writing; the drain ends
+    // once the client reads. Its answers arrive in request order, then the
+    // connection closes: lines it pipelined that the server never
+    // dispatched stay unanswered, and closing over them may reset it.
+    let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        tcp.join();
+        joined_tx.send(()).unwrap();
+    });
+    let mut reader = BufReader::new(stalled.stream);
+    let mut answered = 0;
+    let mut line = String::new();
+    while let Ok(n) = reader.read_line(&mut line) {
+        if n == 0 || !line.ends_with('\n') {
+            break;
+        }
+        assert_answers_request(&line, answered);
+        answered += 1;
+        line.clear();
+    }
+    assert!(answered > 0);
+    joined_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the drain completes once the stalled reader reads");
+    joiner.join().unwrap();
+}

@@ -6,7 +6,8 @@
 # er-serve pipe-mode smokes (repair/append batches, then registry-backed
 # repair_csv bulk streaming), plus the sharded serving smokes: the same
 # session at --shards 4 (pipe and TCP) must answer byte-identically and
-# report shard routing counters. Run from anywhere inside the repo.
+# report shard routing counters, and the benchmark's own unit tests. Run
+# from anywhere inside the repo.
 #
 # BENCH=1 additionally runs the thread-scaling sweep and refreshes
 # results/par_sweep.json (release build; a few extra minutes).
@@ -41,6 +42,9 @@ ER_THREADS=4 cargo test --workspace -q
 
 echo "==> ER_THREADS=4 cargo test -p er-incr -q (append/rebuild equivalence)"
 ER_THREADS=4 cargo test -p er-incr -q
+
+echo "==> perfbench unit tests (the repository benchmark's own tests)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "==> experiments lint examples/figure1_rules.json"
 cargo run -p er-bench --bin experiments -- lint examples/figure1_rules.json
@@ -169,7 +173,7 @@ echo "$shard_smoke"
 [[ "$(echo "$shard_smoke" | sed -n 4p)" == *'"shard_imbalance"'* ]]
 [[ "$(echo "$shard_smoke" | sed -n 4p)" == *'"confluence_certified":false'* ]]
 
-echo "==> er-serve sharded TCP smoke (--shards 4, ER_THREADS=4, event loop)"
+echo "==> er-serve sharded TCP smoke (--shards 4, ER_THREADS=4, blocking sessions, nesting bomb)"
 tcp_log=$(mktemp)
 ER_THREADS=4 cargo run -q --bin er-serve -- --rules examples/figure1_rules.json \
     --shards 4 --workers 4 --tcp 127.0.0.1:0 2>"$tcp_log" &
@@ -181,16 +185,21 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [[ -n "$port" ]]
+# 200 KB of `[` first: a JSON parse error, not a stack overflow.
+nesting_bomb=$(head -c 200000 /dev/zero | tr '\0' '[')
 tcp_smoke=$(printf '%s\n' \
+    "$nesting_bomb" \
     '{"op":"repair","rows":[["Kevin","HZ",null,null,"325-8455","Male",null,"2021-12","No"]]}' \
     '{"op":"stats"}' \
     '{"op":"shutdown"}' \
     | timeout 60 bash -c "exec 3<>/dev/tcp/127.0.0.1/$port; cat >&3; cat <&3")
 echo "$tcp_smoke"
-[[ "$(echo "$tcp_smoke" | sed -n 1p)" == "$(echo "$smoke" | sed -n 2p)" ]]
-[[ "$(echo "$tcp_smoke" | sed -n 2p)" == *'"shards":4'* ]]
-[[ "$(echo "$tcp_smoke" | sed -n 2p)" == *'"shard_routed":1'* ]]
-[[ "$(echo "$tcp_smoke" | sed -n 3p)" == *'"shutdown"'* ]]
+[[ "$(echo "$tcp_smoke" | sed -n 1p)" == *'"ok":false'* ]]
+[[ "$(echo "$tcp_smoke" | sed -n 1p)" == *'recursion limit exceeded'* ]]
+[[ "$(echo "$tcp_smoke" | sed -n 2p)" == "$(echo "$smoke" | sed -n 2p)" ]]
+[[ "$(echo "$tcp_smoke" | sed -n 3p)" == *'"shards":4'* ]]
+[[ "$(echo "$tcp_smoke" | sed -n 3p)" == *'"shard_routed":1'* ]]
+[[ "$(echo "$tcp_smoke" | sed -n 4p)" == *'"shutdown"'* ]]
 wait "$serve_pid"
 rm -f "$tcp_log"
 

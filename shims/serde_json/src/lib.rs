@@ -53,6 +53,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -171,9 +172,16 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---------------------------------------------------------------- parsing
 
+/// Deepest array/object nesting the parser accepts — upstream serde_json's
+/// limit. The parser recurses once per level, so without a cap one line of
+/// `[` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -215,11 +223,22 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error::parse(self.pos, "expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::parse(self.pos, "recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -438,5 +457,19 @@ mod tests {
         assert!(from_str::<Vec<u8>>("[1,").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
         assert!(from_str::<u32>("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_upstream_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        // One line of openers is an error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(200_000)).is_err());
     }
 }
