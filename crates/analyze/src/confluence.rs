@@ -22,11 +22,11 @@
 //!   winner — ER014 (Warning): verdict-equivalent but order-fragile.
 //!
 //! When every pair joins outright the pass issues a
-//! [`ConfluenceCertificate`] stamped with the master generation: a license
-//! for the engines to fold votes in *arrival* order instead of rule order
-//! (`er_par::WorkerPool::unordered_fold`, the sharded merge). Appends bump
-//! the generation and invalidate the stamp; `er-serve` re-runs the pass on
-//! `reload` and on append previews to re-issue it. Vote comparisons use
+//! [`ConfluenceCertificate`] stamped with the master generation: proof
+//! that the order the rules are listed in cannot change any repair on that
+//! master. Appends bump the generation, so the proof covers only the
+//! master it was issued for. No runtime path reads the certificate; the
+//! engines always fold votes in rule order. Vote comparisons use
 //! exact integer cross-multiplication (`cnt/total` fractions over a common
 //! denominator), never floats, so the verdict is itself order-independent.
 
@@ -41,8 +41,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct ConfluenceCertificate {
     /// Whether every critical pair joins outright (no ER013 divergence and
-    /// no ER014 tie-break dependence). Only a certified set licenses the
-    /// unordered merge paths.
+    /// no ER014 tie-break dependence): rule order cannot change any repair.
     pub certified: bool,
     /// Critical pairs examined (unifiable LHS patterns on a shared target).
     pub pairs: usize,

@@ -54,10 +54,10 @@ impl AnalysisReport {
 
     /// Whether the set passes the serve gate: no ER008 cycle and no ER009
     /// conflict (ER010 warnings do not block a load). ER013 non-confluence
-    /// is an error in the report but does not block the gate either: a
-    /// non-confluent set still serves correctly on the deterministic
-    /// rule-order paths — it is only refused the confluence certificate,
-    /// so the unordered merge paths stay unlicensed.
+    /// is an error in the report but does not block the gate either: the
+    /// engines always fold votes in rule order, so a non-confluent set
+    /// still serves deterministically — it is only refused the confluence
+    /// certificate.
     pub fn gate_clean(&self) -> bool {
         self.findings
             .iter()
@@ -131,7 +131,7 @@ impl AnalysisReport {
             let _ = writeln!(
                 out,
                 "confluence: CERTIFIED — {} critical pair{} join on the current master \
-                 (generation {}); arrival-order vote merges are licensed",
+                 (generation {}); rule order cannot change any repair",
                 c.pairs,
                 plural(c.pairs),
                 c.generation,
@@ -140,7 +140,7 @@ impl AnalysisReport {
             let _ = writeln!(
                 out,
                 "confluence: NOT CERTIFIED — {} of {} critical pair{} diverge{}, {} join{} \
-                 only by tie-break; vote merges stay in rule order",
+                 only by tie-break; repairs are not proved independent of rule order",
                 c.divergent.len(),
                 c.pairs,
                 plural(c.pairs),
@@ -437,8 +437,8 @@ pub(crate) fn build_findings(
                 plural(w.rows),
             ),
             note: Some(format!(
-                "two-order witness: master row {} ({}); no confluence certificate — vote \
-                 merges stay in rule order",
+                "two-order witness: master row {} ({}); no confluence certificate — \
+                 repairs are not proved independent of rule order",
                 w.master_row,
                 w.master_tuple.join(", ")
             )),

@@ -3,16 +3,15 @@
 //! continuous-attribute patterns, all rows collapsing to one signature,
 //! every row a distinct signature — the batched report must be
 //! **byte-identical** (predictions, scores bit for bit, candidate counts)
-//! to both the row-at-a-time reference path and the one-shot
-//! `apply_rules`, at 1, 2, and 8 worker threads.
+//! to the row-at-a-time reference path at 1, 2, and 8 worker threads, and
+//! so must the task-level `apply_rules` built on it.
 
 // Test code: a panic is the failure report; fixture helpers sit outside
 // any #[test] fn, so the clippy.toml test exemption does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use er_rules::{
-    apply_rules_with, BatchRepairer, Condition, EditingRule, Evaluator, RepairReport, SchemaMatch,
-    Task,
+    apply_rules, BatchRepairer, Condition, EditingRule, RepairReport, SchemaMatch, Task,
 };
 use er_table::{Attribute, Pool, Relation, RelationBuilder, Schema, Value};
 use std::sync::Arc;
@@ -87,9 +86,9 @@ fn assert_reports_bitwise_equal(a: &RepairReport, b: &RepairReport, what: &str) 
     );
 }
 
-/// The shared harness: for every thread count, the batched path must match
-/// the row-at-a-time reference and the one-shot `apply_rules` bit for bit,
-/// and all thread counts must agree with each other.
+/// The shared harness: for every thread count, the batched path and the
+/// task-level `apply_rules` must match the row-at-a-time reference bit for
+/// bit, and all thread counts must agree with each other.
 fn assert_equivalent_everywhere(input: Relation, master: Relation, scenario: &str) {
     let rules = rules(input.pool());
     let mut baseline: Option<RepairReport> = None;
@@ -108,12 +107,11 @@ fn assert_equivalent_everywhere(input: Relation, master: Relation, scenario: &st
             SchemaMatch::from_pairs(3, &[(0, 0), (1, 1), (2, 2)]),
             (2, 2),
         );
-        let ev = Evaluator::with_threads(&task, threads);
-        let oneshot = apply_rules_with(&ev, &rules);
+        let oneshot = apply_rules(&task, &rules);
         assert_reports_bitwise_equal(
-            &batched,
             &oneshot,
-            &format!("{scenario} vs apply_rules @ {threads} threads"),
+            &reference,
+            &format!("{scenario} apply_rules vs reference @ {threads} threads"),
         );
         match &baseline {
             None => baseline = Some(batched),

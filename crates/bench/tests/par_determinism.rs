@@ -247,10 +247,9 @@ fn batched_repair_is_thread_count_invariant() {
 /// The sharded serving tier partitions the master by the rules' common LHS
 /// routing pair and fans requests out per shard; at every shard count ×
 /// thread count combination the answers must be byte-identical to the
-/// unsharded `BatchRepairer`.
+/// row-at-a-time reference.
 #[test]
 fn sharded_repair_is_shard_and_thread_count_invariant() {
-    const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
     let s = covid();
     let task = &s.task;
     let target = task.target();
@@ -261,51 +260,20 @@ fn sharded_repair_is_shard_and_thread_count_invariant() {
     for &p in &pairs[1..] {
         rules.push(EditingRule::new(vec![pairs[0], p], target, vec![]));
     }
-    let reference = BatchRepairer::new(task.master().clone(), target, rules.clone(), 1)
-        .unwrap()
-        .repair_batch(task.input())
-        .unwrap();
-    assert!(reference.num_predictions() > 0, "fixture must predict");
-    let bits = |scores: &[f64]| scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let engine = er_shard::ShardedEngine::new(
-                task.master().clone(),
-                target,
-                rules.clone(),
-                threads,
-                shards,
-            )
-            .unwrap();
-            let run = engine.repair_batch(task.input(), None).unwrap();
-            assert_eq!(
-                run.predictions, reference.predictions,
-                "predictions diverged at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                bits(&run.scores),
-                bits(&reference.scores),
-                "scores diverged bitwise at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                run.candidates, reference.candidates,
-                "candidate counts diverged at {shards} shards / {threads} threads"
-            );
-        }
-    }
+    assert_sharded_matches_reference(task.master(), task.input(), target, &rules, "covid");
+    let (master, input, rules) = functional_fixture();
+    assert_sharded_matches_reference(&master, &input, (2, 2), &rules, "functional");
 }
 
-/// The certificate-gated commutative fold: a rule set the er-analyze
-/// confluence pass certifies licenses `unordered_fold` inside every shard
-/// and arrival-order merging across shards. At every shard count × thread
-/// count combination the stamped (unordered) run must be byte-identical to
-/// the unstamped (ordered) run and to the 1-shard/1-thread reference.
-#[test]
-fn certified_unordered_fold_is_shard_and_thread_count_invariant() {
+/// A master where T is a function of the routing key K (every critical
+/// pair of the rules joins, so er-analyze certifies the set confluent),
+/// an input that repeats every key, one NULL routing key for the
+/// broadcast path, and rules that all anchor the routing pair (K, K) —
+/// one of them listing its LHS pairs in the other order.
+fn functional_fixture() -> (er_table::Relation, er_table::Relation, Vec<EditingRule>) {
     use er_table::{Attribute, Pool, RelationBuilder, Schema, Value};
     use std::sync::Arc;
 
-    const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
     let pool = Arc::new(Pool::new());
     let attrs = || {
         vec![
@@ -314,13 +282,8 @@ fn certified_unordered_fold_is_shard_and_thread_count_invariant() {
             Attribute::categorical("T"),
         ]
     };
-    let in_schema = Arc::new(Schema::new("in", attrs()));
-    let m_schema = Arc::new(Schema::new("m", attrs()));
     let s = |v: String| Value::str(v);
-    // Master where T is a function of the routing key K: every critical
-    // pair joins (any joint witness agrees on the modal), so the set
-    // certifies honestly — the pass below must find zero divergences.
-    let mut bm = RelationBuilder::new(m_schema, Arc::clone(&pool));
+    let mut bm = RelationBuilder::new(Arc::new(Schema::new("m", attrs())), Arc::clone(&pool));
     for k in 0..8 {
         for a in 0..4 {
             for _ in 0..(1 + (k + a) % 3) {
@@ -333,92 +296,66 @@ fn certified_unordered_fold_is_shard_and_thread_count_invariant() {
             }
         }
     }
-    let master = bm.finish();
-    let mut bi = RelationBuilder::new(Arc::clone(&in_schema), pool);
+    let mut bi = RelationBuilder::new(Arc::new(Schema::new("in", attrs())), pool);
     for row in 0..48 {
-        let k = row % 8;
         bi.push_row(vec![
-            s(format!("k{k}")),
+            s(format!("k{}", row % 8)),
             s(format!("a{}", row % 4)),
             Value::Null,
         ])
         .unwrap();
     }
-    // A NULL routing key exercises the broadcast path under both merges.
     bi.push_row(vec![Value::Null, s("a0".into()), Value::Null])
         .unwrap();
-    let input = bi.finish();
     let target = (2, 2);
-    // Every rule anchors the routing pair (K, K), so multi-shard placement
-    // is non-degenerate and the pairwise unifications are non-trivial.
     let rules = vec![
         EditingRule::new(vec![(0, 0)], target, vec![]),
         EditingRule::new(vec![(0, 0), (1, 1)], target, vec![]),
         EditingRule::new(vec![(1, 1), (0, 0)], target, vec![]),
     ];
-    let targets = [TargetRules {
-        target,
-        rules: rules.clone(),
-    }];
-    let reference = BatchRepairer::new(master.clone(), target, rules.clone(), 1)
+    (bm.finish(), bi.finish(), rules)
+}
+
+fn assert_sharded_matches_reference(
+    master: &er_table::Relation,
+    input: &er_table::Relation,
+    target: (usize, usize),
+    rules: &[EditingRule],
+    what: &str,
+) {
+    const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
+    let reference = BatchRepairer::new(master.clone(), target, rules.to_vec(), 1)
         .unwrap()
-        .repair_batch(&input)
+        .repair_batch_reference(input)
         .unwrap();
-    assert!(reference.num_predictions() > 0, "fixture must predict");
+    assert!(
+        reference.num_predictions() > 0,
+        "{what}: fixture must predict"
+    );
     let bits = |scores: &[f64]| scores.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
             let engine = er_shard::ShardedEngine::new(
                 master.clone(),
                 target,
-                rules.clone(),
+                rules.to_vec(),
                 threads,
                 shards,
             )
             .unwrap();
-            let ordered = engine.repair_batch(&input, None).unwrap();
-            // Certify honestly: run the confluence pass, then stamp the
-            // engine at its live aggregate generation — exactly what
-            // `er-serve` does on reload/append.
-            let report = er_analyze::analyze(
-                &in_schema,
-                &master,
-                &targets,
-                &AnalyzeConfig::with_threads(threads),
-            );
-            assert!(
-                report.confluence.certified,
-                "functionally determined fixture must certify: {}",
-                report.render_text()
+            let run = engine.repair_batch(input, None).unwrap();
+            assert_eq!(
+                run.predictions, reference.predictions,
+                "{what}: predictions diverged at {shards} shards / {threads} threads"
             );
             assert_eq!(
-                report.confluence.generation,
-                engine.read_view().generation()
-            );
-            assert!(engine.set_confluence_stamp(report.confluence.generation));
-            assert!(engine.confluence_certified());
-            let unordered = engine.repair_batch(&input, None).unwrap();
-            assert_eq!(
-                unordered.predictions, ordered.predictions,
-                "stamped predictions diverged at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                bits(&unordered.scores),
-                bits(&ordered.scores),
-                "stamped scores diverged bitwise at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                unordered.candidates, ordered.candidates,
-                "stamped candidate counts diverged at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                unordered.predictions, reference.predictions,
-                "predictions diverged from the reference at {shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                bits(&unordered.scores),
+                bits(&run.scores),
                 bits(&reference.scores),
-                "scores diverged bitwise from the reference at {shards} shards / {threads} threads"
+                "{what}: scores diverged bitwise at {shards} shards / {threads} threads"
+            );
+            assert_eq!(
+                run.candidates, reference.candidates,
+                "{what}: candidate counts diverged at {shards} shards / {threads} threads"
             );
         }
     }

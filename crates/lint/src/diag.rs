@@ -67,8 +67,8 @@ pub enum DiagnosticCode {
     /// Non-confluent rule pair: two rules on the same target form a critical
     /// pair whose one-step chase states do not join — applying them in the
     /// two possible orders commits *different* certain fixes on a concrete
-    /// master row. No confluence certificate exists for the set, and the
-    /// engines must keep merging votes in deterministic rule order.
+    /// master row. No confluence certificate exists for the set: its
+    /// repairs depend on the order the rules are listed in.
     Er013,
     /// Tie-break-dependent confluence: a critical pair's divergent
     /// prescriptions carry exactly equal combined evidence, so the chase

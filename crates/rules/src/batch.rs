@@ -1,15 +1,13 @@
-//! Task-free batch repair for long-lived serving.
+//! Task-free batch repair: the one implementation of the certainty vote.
 //!
-//! [`crate::apply_rules`] is built for one-shot mining runs: it borrows a
-//! [`crate::Task`] that owns both relations, and its [`crate::Evaluator`]
-//! builds the master-side group indexes lazily per call site. A serving
-//! process inverts that shape — the master relation and rule set are loaded
-//! once and live for the lifetime of the process, while input batches
-//! stream in and out. [`BatchRepairer`] holds exactly the long-lived half:
-//! the master relation, the resolved rules, and one pre-built
-//! [`GroupIndex`] per distinct `X_m` list (warmed at construction, shared
-//! by every request), so a `repair_batch` call touches only the incoming
-//! rows.
+//! A serving process loads the master relation and rule set once and keeps
+//! them for the lifetime of the process, while input batches stream in and
+//! out. [`BatchRepairer`] holds exactly the long-lived half: the master
+//! relation, the resolved rules, and one pre-built [`GroupIndex`] per
+//! distinct `X_m` list (warmed at construction, shared by every request),
+//! so a `repair_batch` call touches only the incoming rows. One-shot runs
+//! ([`crate::apply_rules`], [`crate::chase`]) use it too, repairing their
+//! whole input as one batch.
 //!
 //! # The signature-batched hot path
 //!
@@ -38,40 +36,23 @@
 //!    in tight branch-free inner loops (padded dense delta matrices when
 //!    the signature count is small enough).
 //!
-//! The voting semantics are identical to [`crate::apply_rules_with`]: the
-//! per-rule contributions are collected in parallel over the worker pool
-//! and folded sequentially in rule order. Within one rule every row
+//! The per-rule contributions are collected in parallel over the worker
+//! pool and folded sequentially in rule order. Within one rule every row
 //! receives at most one add per candidate, so the per-`(row, candidate)`
-//! sums — and therefore the report — are byte-identical to the one-shot
-//! path at any thread count, regardless of the order signature groups are
-//! visited in. Scores are computed as `count * (1.0/total)` in *both*
-//! paths, because a precomputed reciprocal rounds differently than a fresh
+//! sums — and therefore the report — are byte-identical at any thread
+//! count, regardless of the order signature groups are visited in. Scores
+//! are computed as `count * (1.0/total)` here *and* in the reference path,
+//! because a precomputed reciprocal rounds differently than a fresh
 //! division.
-//!
-//! # The certificate-gated unordered fan-out
-//!
-//! The fan-out normally goes through [`er_par::WorkerPool::map`], whose
-//! ordered scatter buffers every group's result before the collect loop
-//! runs. When the owning engine holds a valid er-analyze
-//! `ConfluenceCertificate` it may call [`BatchRepairer::set_unordered`],
-//! switching the fan-out to [`er_par::WorkerPool::unordered_fold`]: group
-//! outcomes are folded the moment they complete, in arrival order. The
-//! output is still byte-identical — each outcome scatters into *disjoint*
-//! per-rule `contributions` slots, the stat counters are exact integer
-//! sums, and the certainty-vote fold itself ([`fold_votes`]) always runs
-//! sequentially in rule order afterwards — and
-//! `crates/bench/tests/par_determinism.rs` enforces that identity across
-//! the full shard × thread matrix. The repairer does not verify the
-//! certificate itself; the flag is plumbed down from `er-serve`, which
-//! re-runs the confluence pass on `reload` and `append`.
 //!
 //! The previous row-at-a-time implementation is kept as
 //! [`BatchRepairer::repair_batch_reference`] behind
-//! `cfg(any(test, feature = "reference-path"))`, so the equivalence suite
-//! and `experiments repair_bench` can assert byte-identity and measure the
-//! speedup.
+//! `cfg(any(test, feature = "reference-path"))`, with its own per-row fold,
+//! so the equivalence suite and `experiments repair_bench` can assert
+//! byte-identity against an oracle that shares no fold code with this path
+//! and measure the speedup.
 
-use crate::repair::{fold_votes, Contribution, RepairReport, RuleVotes, NO_SIG};
+use crate::repair::{fold_votes, RepairReport, RuleVotes, NO_SIG};
 use crate::rule::EditingRule;
 use er_par::WorkerPool;
 use er_table::{AttrId, Code, GroupIndex, Relation, RowId, Value, NULL_CODE};
@@ -291,10 +272,6 @@ pub struct BatchRepairer {
     /// Minimum input arity any rule (or the target) references.
     min_arity: usize,
     pool: WorkerPool,
-    /// Whether the fan-out may fold group outcomes in arrival order
-    /// (certificate-gated; see the module docs). Off by default: the
-    /// ordered [`WorkerPool::map`] path needs no license.
-    unordered: bool,
     /// Lifetime [`VoteStats`] counters (relaxed atomics: `repair` is `&self`
     /// and runs concurrently behind the serve read lock).
     vote_rows: AtomicU64,
@@ -372,7 +349,6 @@ impl BatchRepairer {
             lhs_groups,
             min_arity,
             pool,
-            unordered: false,
             vote_rows: AtomicU64::new(0),
             signature_probes: AtomicU64::new(0),
         })
@@ -402,21 +378,6 @@ impl BatchRepairer {
     /// the unit of signature grouping and probe dedup.
     pub fn num_lhs_groups(&self) -> usize {
         self.lhs_groups.len()
-    }
-
-    /// Whether the arrival-order fan-out is currently selected (see
-    /// [`BatchRepairer::set_unordered`]).
-    pub fn unordered(&self) -> bool {
-        self.unordered
-    }
-
-    /// Select (`true`) or deselect (`false`) the arrival-order group
-    /// fan-out. Callers must only pass `true` while they hold a valid
-    /// er-analyze `ConfluenceCertificate` for exactly this rule set and
-    /// master generation — the repairer trusts the license; the output is
-    /// byte-identical either way (module docs, `par_determinism.rs`).
-    pub fn set_unordered(&mut self, licensed: bool) {
-        self.unordered = licensed;
     }
 
     /// Lifetime vote-batching counters: rows grouped vs. distinct signature
@@ -469,8 +430,7 @@ impl BatchRepairer {
         Ok(rows.len())
     }
 
-    /// Repair one batch of input rows. The report is identical to
-    /// [`crate::apply_rules`] on a task built from the same batch and master.
+    /// Repair one batch of input rows by the certainty-score vote of §V-B2.
     pub fn repair_batch(&self, batch: &Relation) -> Result<RepairReport, BatchError> {
         self.repair(batch, None)
     }
@@ -509,61 +469,30 @@ impl BatchRepairer {
         deadline: Option<Instant>,
     ) -> Result<RepairReport, BatchError> {
         self.validate_batch(batch)?;
-        // Placeholder contributions, overwritten below: every rule belongs
-        // to exactly one LHS group and every group reports every rule.
-        let mut contributions: Vec<Contribution> = (0..self.rules.len())
-            .map(|_| Contribution::Flat(Vec::new()))
-            .collect();
+        // Every rule belongs to exactly one LHS group and every group
+        // reports every one of its rules, so each slot is filled once.
+        let mut slots: Vec<Option<RuleVotes>> = vec![None; self.rules.len()];
         let mut rows_grouped = 0u64;
         let mut probes = 0u64;
         for chunk in self.lhs_groups.chunks(GROUP_CHUNK) {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(BatchError::DeadlineExceeded);
             }
-            if self.unordered {
-                // Certificate-gated arrival-order fold: every outcome lands
-                // in disjoint per-rule slots and the counters are exact
-                // integer sums, so completion order is invisible in the
-                // output. The only error a group worker can produce is
-                // DeadlineExceeded, so arrival order cannot change which
-                // error is reported either.
-                let mut failure: Option<BatchError> = None;
-                self.pool.unordered_fold(
-                    chunk,
-                    |group| self.group_contribution(group, batch, deadline),
-                    |_, result| match result {
-                        Ok(outcome) => {
-                            rows_grouped += outcome.rows;
-                            probes += outcome.probes;
-                            for (rule, votes) in outcome.votes {
-                                contributions[rule] = Contribution::Grouped(votes);
-                            }
-                        }
-                        Err(e) => {
-                            failure.get_or_insert(e);
-                        }
-                    },
-                );
-                if let Some(e) = failure {
-                    return Err(e);
-                }
-            } else {
-                let results = self.pool.map(chunk, |group| {
-                    self.group_contribution(group, batch, deadline)
-                });
-                for result in results {
-                    let outcome = result?;
-                    rows_grouped += outcome.rows;
-                    probes += outcome.probes;
-                    for (rule, votes) in outcome.votes {
-                        contributions[rule] = Contribution::Grouped(votes);
-                    }
+            let results = self.pool.map(chunk, |group| {
+                self.group_contribution(group, batch, deadline)
+            });
+            for result in results {
+                let outcome = result?;
+                rows_grouped += outcome.rows;
+                probes += outcome.probes;
+                for (rule, votes) in outcome.votes {
+                    slots[rule] = Some(votes);
                 }
             }
         }
         self.vote_rows.fetch_add(rows_grouped, Ordering::Relaxed);
         self.signature_probes.fetch_add(probes, Ordering::Relaxed);
-        let report = fold_votes(batch.num_rows(), contributions);
+        let report = fold_votes(batch.num_rows(), slots.into_iter().flatten().collect());
         #[cfg(feature = "debug-invariants")]
         self.audit_report(&report);
         Ok(report)
@@ -818,19 +747,35 @@ impl BatchRepairer {
     #[cfg(any(test, feature = "reference-path"))]
     pub fn repair_batch_reference(&self, batch: &Relation) -> Result<RepairReport, BatchError> {
         self.validate_batch(batch)?;
-        let contributions: Vec<Contribution> = self
+        let contributions = self
             .pool
-            .map(&self.rules, |rule| {
-                Contribution::Flat(self.contribution_reference(rule, batch))
-            })
-            .into_iter()
-            .collect();
-        Ok(fold_votes(batch.num_rows(), contributions))
+            .map(&self.rules, |rule| self.contribution_reference(rule, batch));
+        // Per-row fold, rule by rule: each `(row, candidate)` sum
+        // accumulates in rule order; the winner is the highest score, the
+        // smaller code on exact ties.
+        let mut votes: Vec<HashMap<Code, f64>> = vec![HashMap::new(); batch.num_rows()];
+        for &(row, code, delta) in contributions.iter().flatten() {
+            *votes[row].entry(code).or_insert(0.0) += delta;
+        }
+        let mut report = RepairReport {
+            predictions: Vec::with_capacity(votes.len()),
+            scores: Vec::with_capacity(votes.len()),
+            candidates: Vec::with_capacity(votes.len()),
+            rules_applied: contributions.iter().filter(|c| !c.is_empty()).count(),
+        };
+        for vote in votes {
+            report.candidates.push(vote.len());
+            let winner = vote
+                .into_iter()
+                .max_by(|(ca, sa), (cb, sb)| sa.total_cmp(sb).then_with(|| cb.cmp(ca)));
+            report.predictions.push(winner.map(|(code, _)| code));
+            report.scores.push(winner.map_or(0.0, |(_, score)| score));
+        }
+        Ok(report)
     }
 
     /// One rule's `(row, candidate, certainty)` votes over the batch, row
-    /// at a time — the same contributions [`crate::apply_rules_with`]
-    /// collects, with the pattern cover computed inline.
+    /// at a time, with the pattern cover computed inline.
     #[cfg(any(test, feature = "reference-path"))]
     fn contribution_reference(
         &self,
@@ -910,10 +855,7 @@ impl BatchRepairer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::SchemaMatch;
-    use crate::repair::apply_rules;
     use crate::rule::Condition;
-    use crate::task::Task;
     use er_table::{Attribute, Pool, RelationBuilder, Schema, Value};
 
     fn fixture() -> (Relation, Relation) {
@@ -962,23 +904,6 @@ mod tests {
         assert_eq!(bits(a), bits(b), "scores diverged bitwise");
         assert_eq!(a.candidates, b.candidates);
         assert_eq!(a.rules_applied, b.rules_applied);
-    }
-
-    #[test]
-    fn matches_one_shot_apply_rules() {
-        let (input, master) = fixture();
-        let rules = rules(&input);
-        let repairer = BatchRepairer::new(master.clone(), (1, 1), rules.clone(), 0).unwrap();
-        let report = repairer.repair_batch(&input).unwrap();
-
-        let task = Task::new(
-            input,
-            master,
-            SchemaMatch::from_pairs(2, &[(0, 0), (1, 1)]),
-            (1, 1),
-        );
-        let oneshot = apply_rules(&task, &rules);
-        assert_reports_bitwise_equal(&report, &oneshot);
     }
 
     #[test]
@@ -1198,37 +1123,6 @@ mod tests {
         }
         assert_eq!(repairer.master().num_rows(), before);
         // The warm state still serves correctly after the rejected append.
-        assert!(repairer.repair_batch(&input).is_ok());
-    }
-
-    #[test]
-    fn unordered_fold_matches_ordered_fold_bitwise() {
-        let (input, master) = fixture();
-        for threads in [1, 2, 8] {
-            let ordered =
-                BatchRepairer::new(master.clone(), (1, 1), rules(&input), threads).unwrap();
-            let mut unordered =
-                BatchRepairer::new(master.clone(), (1, 1), rules(&input), threads).unwrap();
-            assert!(!unordered.unordered());
-            unordered.set_unordered(true);
-            assert!(unordered.unordered());
-            let a = ordered.repair_batch(&input).unwrap();
-            let b = unordered.repair_batch(&input).unwrap();
-            assert_reports_bitwise_equal(&a, &b);
-            assert_eq!(ordered.vote_stats(), unordered.vote_stats());
-        }
-    }
-
-    #[test]
-    fn unordered_fold_still_honors_the_deadline() {
-        let (input, master) = fixture();
-        let mut repairer = BatchRepairer::new(master, (1, 1), rules(&input), 0).unwrap();
-        repairer.set_unordered(true);
-        let expired = Instant::now() - std::time::Duration::from_millis(1);
-        assert_eq!(
-            repairer.repair_batch_deadline(&input, expired).unwrap_err(),
-            BatchError::DeadlineExceeded
-        );
         assert!(repairer.repair_batch(&input).is_ok());
     }
 

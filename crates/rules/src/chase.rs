@@ -14,11 +14,9 @@
 //! frozen: later rounds never revise them, which keeps the chase
 //! terminating and mirrors the "certain fix" contract.
 
+use crate::batch::BatchRepairer;
 use crate::matching::SchemaMatch;
-use crate::measures::Evaluator;
-use crate::repair::apply_rules_with;
 use crate::rule::EditingRule;
-use crate::task::Task;
 use er_table::{AttrId, Code, Relation, RowId, NULL_CODE};
 
 /// Rules discovered for one target attribute pair.
@@ -41,9 +39,9 @@ pub struct ChaseConfig {
     /// NULL cells filled.
     pub overwrite: bool,
     /// Worker threads for the per-round repair passes (`0` = auto:
-    /// `ER_THREADS` or sequential). Every rule's votes are collected in
-    /// parallel and its cover scan is chunked across input tuples; the
-    /// committed fixes are identical at any thread count.
+    /// `ER_THREADS` or sequential). The LHS groups of each target's rules
+    /// are probed in parallel; the committed fixes are identical at any
+    /// thread count.
     pub threads: usize,
 }
 
@@ -111,7 +109,9 @@ pub struct ChaseResult {
 /// Run the chase.
 ///
 /// # Panics
-/// Panics if a rule's target differs from its [`TargetRules::target`].
+/// Panics if a rule's target differs from its [`TargetRules::target`], if
+/// `input` and `master` do not share a value pool, if `matching`'s arity
+/// differs from `input`'s, or if a target or rule attribute is out of range.
 pub fn chase(
     input: &Relation,
     master: &Relation,
@@ -124,6 +124,20 @@ pub fn chase(
             assert_eq!(r.target(), t.target, "rule target mismatch in TargetRules");
         }
     }
+    assert_eq!(
+        matching.input_arity(),
+        input.num_attrs(),
+        "match arity mismatch"
+    );
+    // The master never changes during a chase, so each target's indexes
+    // are warmed once and every round repairs only the current input.
+    let repairers: Vec<BatchRepairer> = targets
+        .iter()
+        .map(|t| {
+            BatchRepairer::new(master.clone(), t.target, t.rules.clone(), config.threads)
+                .unwrap_or_else(|e| panic!("chase: {e}"))
+        })
+        .collect();
     let mut current = input.clone();
     let mut fixes: Vec<Fix> = Vec::new();
     let mut contested = 0usize;
@@ -156,11 +170,11 @@ pub fn chase(
     while rounds < config.max_rounds {
         rounds += 1;
         let mut changed = false;
-        for t in targets {
+        for (t, repairer) in targets.iter().zip(&repairers) {
             let (y, _) = t.target;
-            let task = Task::new(current.clone(), master.clone(), matching.clone(), t.target);
-            let ev = Evaluator::with_threads(&task, config.threads);
-            let report = apply_rules_with(&ev, &t.rules);
+            let report = repairer
+                .repair_batch(&current)
+                .unwrap_or_else(|e| panic!("chase: {e}"));
             for row in 0..current.num_rows() {
                 let Some(code) = report.predictions[row] else {
                     continue;

@@ -47,7 +47,7 @@ pub use io::{from_portable, rules_from_json, rules_to_json, to_portable, Portabl
 pub use matching::SchemaMatch;
 pub use measures::{Evaluator, Measures};
 pub use metrics::{evaluate_repairs, WeightedPrf};
-pub use repair::{apply_rules, apply_rules_with, changed_rows, RepairReport};
+pub use repair::{apply_rules, changed_rows, RepairReport};
 pub use rule::{Condition, EditingRule, Pred};
 pub use store::{content_hash, RuleStore, RuleVersion};
 pub use task::{ConditionSpace, ConditionSpaceConfig, Task};

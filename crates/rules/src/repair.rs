@@ -6,10 +6,10 @@
 //! certainty scores over all applicable rules is taken as the fix:
 //! `argmax_v Σ_φ σ_{v,φ}`.
 
-use crate::measures::Evaluator;
+use crate::batch::BatchRepairer;
 use crate::rule::EditingRule;
 use crate::task::Task;
-use er_table::{Code, Relation, RowId, NULL_CODE};
+use er_table::{Code, Relation, RowId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -47,105 +47,30 @@ impl RepairReport {
     }
 }
 
-/// Apply `rules` to `task`'s input via certainty-score voting.
-pub fn apply_rules(task: &Task, rules: &[EditingRule]) -> RepairReport {
-    let ev = Evaluator::new(task);
-    apply_rules_with(&ev, rules)
-}
-
-/// Like [`apply_rules`] but reusing an existing evaluator's master-side
-/// indexes (the miners already built them).
+/// Apply `rules` to `task`'s input via certainty-score voting: a
+/// [`BatchRepairer`] over the task's master repairs the whole input as one
+/// batch, so the report is identical at any thread count.
 ///
-/// Vote collection fans out over the evaluator's worker pool — one task per
-/// rule, each returning its `(row, candidate, score)` contributions — and
-/// the contributions are folded into the vote table sequentially in rule
-/// order, so every floating-point sum is accumulated in exactly the order
-/// of the sequential loop and the report is identical at any thread count.
-pub fn apply_rules_with(ev: &Evaluator<'_>, rules: &[EditingRule]) -> RepairReport {
-    let task = ev.task();
-    let input = task.input();
-    let n = input.num_rows();
-
-    // Per-rule vote contributions, computed in parallel.
-    let contributions: Vec<Vec<(RowId, Code, f64)>> = ev.pool().map(rules, |rule| {
-        let x = rule.x();
-        let xm = rule.xm();
-        let group = ev.group_index(&xm);
-        let cover = ev.cover(rule, None);
-        let mut out = Vec::new();
-        let mut key = Vec::with_capacity(x.len());
-        'rows: for row in cover {
-            key.clear();
-            for &a in &x {
-                let c = input.code(row, a);
-                if c == NULL_CODE {
-                    continue 'rows;
-                }
-                key.push(c);
-            }
-            let dist = group.get(&key);
-            let total: u32 = dist
-                .iter()
-                .filter(|&&(c, _)| c != NULL_CODE)
-                .map(|&(_, n)| n)
-                .sum();
-            if total == 0 {
-                continue;
-            }
-            // The same `count * (1/total)` shape as the signature-batched
-            // path in `BatchRepairer`, so the two produce bitwise-identical
-            // scores (multiplying by a precomputed reciprocal rounds
-            // differently than a fresh division would).
-            let recip = 1.0 / total as f64;
-            for &(code, count) in dist {
-                if code == NULL_CODE {
-                    continue;
-                }
-                out.push((row, code, count as f64 * recip));
-            }
-        }
-        out
-    });
-
-    let contributions = contributions.into_iter().map(Contribution::Flat).collect();
-    let report = fold_votes(n, contributions);
-    #[cfg(feature = "debug-invariants")]
-    {
-        // Certain-fix audit: every repaired cell copies a value present in
-        // the master's Y_m column — the engine transfers master data, it
-        // never invents values.
-        let (_, ym) = task.target();
-        let valid: std::collections::HashSet<Code> = task
-            .master()
-            .column(ym)
-            .iter()
-            .copied()
-            .filter(|&c| c != NULL_CODE)
-            .collect();
-        for (row, pred) in report.predictions.iter().enumerate() {
-            if let Some(code) = pred {
-                assert!(
-                    valid.contains(code),
-                    "repair: prediction for row {row} is not a master Y_m value"
-                );
-            }
-        }
-    }
-    report
+/// # Panics
+/// Panics if a rule's target differs from [`Task::target`], or if a rule
+/// reads an input attribute the task's input does not have.
+pub fn apply_rules(task: &Task, rules: &[EditingRule]) -> RepairReport {
+    BatchRepairer::new(task.master().clone(), task.target(), rules.to_vec(), 0)
+        .and_then(|repairer| repairer.repair_batch(task.input()))
+        .unwrap_or_else(|e| panic!("apply_rules: {e}"))
 }
 
 /// Sentinel signature id: this row gets no vote from the rule (NULL key or
 /// failed pattern).
 pub(crate) const NO_SIG: u32 = u32::MAX;
 
-/// One rule's votes in signature-grouped, row-major form, as emitted by the
-/// batched repair path: every row of a signature receives the same
-/// candidate scores, so instead of materializing one `(row, code, score)`
-/// tuple per vote the rule carries a row-major signature-id vector plus a
-/// candidate arena indexed per signature. The arenas are `Arc`-shared
-/// across the rules of one LHS group (the probe-dedup satellite of the
-/// signature-batched pipeline), and the row-major shape lets the fold walk
-/// every rule in one streaming pass per row.
+/// One rule's votes in signature-grouped, row-major form: every row of a
+/// signature receives the same candidate scores, so instead of
+/// materializing one `(row, code, score)` tuple per vote the rule carries a
+/// row-major signature-id vector plus a candidate arena indexed per
+/// signature. The arenas are `Arc`-shared across the rules of one LHS group
+/// (one probe per signature serves them all), and the row-major shape lets
+/// the fold walk every rule in one streaming pass per row.
 #[derive(Debug, Clone)]
 pub(crate) struct RuleVotes {
     /// Signature id of each batch row, `NO_SIG` where the rule is silent.
@@ -170,95 +95,48 @@ impl RuleVotes {
     }
 }
 
-/// One rule's vote contribution, in either of the two shapes the engine
-/// produces. Both fold to bitwise-identical reports: each row gets at most
-/// one `(code, delta)` add per rule, so the per-slot sums accumulate in
-/// rule order regardless of the shape or the order within a rule.
-pub(crate) enum Contribution {
-    /// Row-at-a-time tuples (the one-shot path and the reference path).
-    Flat(Vec<(RowId, Code, f64)>),
-    /// Row-major signature vector + shared candidate arena (batched path).
-    Grouped(RuleVotes),
-}
-
-impl Contribution {
-    fn is_empty(&self) -> bool {
-        match self {
-            Contribution::Flat(votes) => votes.is_empty(),
-            Contribution::Grouped(g) => !g.live,
-        }
-    }
-}
-
-/// Dense-fold budget: the dense accumulator is used only when the candidate
-/// universe is at most this many distinct codes...
+/// Fused-fold budget: the register accumulator is used only when the
+/// candidate universe is at most this many distinct codes; wider universes
+/// take the per-row `HashMap` fold.
 const DENSE_MAX_CANDIDATES: usize = 64;
-/// ...and the `rows × candidates` slot matrix stays below this size
-/// (2^22 slots ≈ 32 MiB of `f64` plus the touched bitmap).
-const DENSE_MAX_SLOTS: usize = 1 << 22;
 
-/// Ordered fold of per-rule vote contributions into a [`RepairReport`]:
+/// Ordered fold of per-rule votes into a [`RepairReport`]:
 /// `votes[row]: candidate code → accumulated certainty score`, summed in
 /// rule order so floating-point accumulation matches the sequential loop at
-/// any thread count. A rule applied iff it contributed. Shared by the
-/// one-shot path above and [`crate::BatchRepairer`].
+/// any thread count. A rule applied iff it contributed.
 ///
 /// When the candidate universe is small (the common case: candidates are
 /// master `Y_m` values reachable from the batch's signatures) the votes
-/// accumulate into a dense `rows × candidates` array instead of one
-/// `HashMap` per row; both folds produce bitwise-identical reports (each
-/// `(row, code)` slot receives exactly one add per rule, in rule order, and
-/// the winner scan visits candidates in ascending code order so the
-/// smaller-code tie-break is preserved).
-pub(crate) fn fold_votes(n: usize, contributions: Vec<Contribution>) -> RepairReport {
-    let rules_applied = contributions.iter().filter(|c| !c.is_empty()).count();
-    // Collect the candidate universe, giving up on the dense fold as soon
+/// accumulate into a small per-row array instead of one `HashMap` per row;
+/// both folds produce bitwise-identical reports (each `(row, code)` slot
+/// receives exactly one add per rule, in rule order, and the winner scan
+/// visits candidates in ascending code order so the smaller-code tie-break
+/// is preserved).
+pub(crate) fn fold_votes(n: usize, contributions: Vec<RuleVotes>) -> RepairReport {
+    let rules_applied = contributions.iter().filter(|c| c.live).count();
+    // Collect the candidate universe, giving up on the fused fold as soon
     // as it outgrows the budget (the `contains` scan stays cheap because
-    // the vector is capped at DENSE_MAX_CANDIDATES + 1 entries).
+    // the vector is capped at DENSE_MAX_CANDIDATES + 1 entries). The whole
+    // arena counts, not just voted runs: a signature whose rows were all
+    // pattern-filtered contributes codes that never receive a vote, which
+    // only widens the universe — their slots stay at 0.0 and are skipped
+    // by every fold.
     let mut universe: Vec<Code> = Vec::new();
     let mut dense_ok = true;
-    'scan: for contribution in &contributions {
-        match contribution {
-            Contribution::Flat(votes) => {
-                for &(_, code, _) in votes {
-                    if !universe.contains(&code) {
-                        universe.push(code);
-                        if universe.len() > DENSE_MAX_CANDIDATES {
-                            dense_ok = false;
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-            Contribution::Grouped(g) => {
-                // The whole arena, not just voted runs: a signature whose
-                // rows were all pattern-filtered contributes codes that
-                // never receive a vote, which only widens the universe —
-                // their slots stay at 0.0 and are skipped by every fold.
-                for &(code, _) in g.cands.iter() {
-                    if !universe.contains(&code) {
-                        universe.push(code);
-                        if universe.len() > DENSE_MAX_CANDIDATES {
-                            dense_ok = false;
-                            break 'scan;
-                        }
-                    }
+    'scan: for g in &contributions {
+        for &(code, _) in g.cands.iter() {
+            if !universe.contains(&code) {
+                universe.push(code);
+                if universe.len() > DENSE_MAX_CANDIDATES {
+                    dense_ok = false;
+                    break 'scan;
                 }
             }
         }
     }
-    let all_grouped = contributions
-        .iter()
-        .all(|c| matches!(c, Contribution::Grouped(_)));
-    if dense_ok && !universe.is_empty() && all_grouped {
+    if dense_ok && !universe.is_empty() {
         universe.sort_unstable();
         fold_grouped(n, &universe, &contributions, rules_applied)
-    } else if dense_ok
-        && !universe.is_empty()
-        && n.saturating_mul(universe.len()) <= DENSE_MAX_SLOTS
-    {
-        universe.sort_unstable();
-        fold_dense(n, &universe, &contributions, rules_applied)
     } else {
         fold_sparse(n, &contributions, rules_applied)
     }
@@ -268,12 +146,12 @@ pub(crate) fn fold_votes(n: usize, contributions: Vec<Contribution>) -> RepairRe
 /// `f64`s must stay cache-resident for the branchless row loop to pay off.
 const DENSE_DELTA_SLOTS: usize = 1 << 16;
 
-/// Fused fold for the batched path (every contribution signature-grouped,
-/// small universe): one streaming pass over the rows with a small local
-/// accumulator that lives in registers — no `rows × candidates` matrix, no
-/// second winner-scan pass. For each row the rules are visited in rule
-/// order, so every `(row, code)` slot accumulates in exactly the order the
-/// other folds use — the reports are bitwise identical.
+/// Fused fold for a small universe: one streaming pass over the rows with
+/// a small local accumulator that lives in registers — no
+/// `rows × candidates` matrix, no second winner-scan pass. For each row the
+/// rules are visited in rule order, so every `(row, code)` slot accumulates
+/// in exactly the order the sparse fold uses — the reports are bitwise
+/// identical.
 ///
 /// The accumulator width is monomorphized (4/8/16 lanes) so the per-rule
 /// add compiles to fixed-width vector code; wider universes or oversized
@@ -281,16 +159,13 @@ const DENSE_DELTA_SLOTS: usize = 1 << 16;
 fn fold_grouped(
     n: usize,
     universe: &[Code],
-    contributions: &[Contribution],
+    contributions: &[RuleVotes],
     rules_applied: usize,
 ) -> RepairReport {
     let k = universe.len();
     let max_sigs = contributions
         .iter()
-        .filter_map(|c| match c {
-            Contribution::Grouped(g) => Some(g.ranges.len()),
-            Contribution::Flat(_) => None,
-        })
+        .map(|g| g.ranges.len())
         .max()
         .unwrap_or(0);
     if (max_sigs + 1) * 16 <= DENSE_DELTA_SLOTS {
@@ -322,24 +197,17 @@ fn fold_grouped(
 fn fold_grouped_padded<const K: usize>(
     n: usize,
     universe: &[Code],
-    contributions: &[Contribution],
+    contributions: &[RuleVotes],
     rules_applied: usize,
 ) -> RepairReport {
     let k = universe.len();
-    let grouped: Vec<&RuleVotes> = contributions
-        .iter()
-        .filter_map(|c| match c {
-            Contribution::Grouped(g) => Some(g),
-            Contribution::Flat(_) => None,
-        })
-        .collect();
     // The rules of one LHS group share their candidate arena (`Arc`), so
     // their delta matrices are identical — build each distinct arena's
     // matrix once and let the lanes reference it.
     let mut arena_keys: Vec<*const Vec<(Code, f64)>> = Vec::new();
     let mut matrices: Vec<Vec<f64>> = Vec::new();
-    let mut matrix_of: Vec<usize> = Vec::with_capacity(grouped.len());
-    for g in &grouped {
+    let mut matrix_of: Vec<usize> = Vec::with_capacity(contributions.len());
+    for g in contributions {
         let key = Arc::as_ptr(&g.cands);
         let idx = arena_keys
             .iter()
@@ -361,7 +229,7 @@ fn fold_grouped_padded<const K: usize>(
             });
         matrix_of.push(idx);
     }
-    let lanes: Vec<(&[u32], u32, &[f64])> = grouped
+    let lanes: Vec<(&[u32], u32, &[f64])> = contributions
         .iter()
         .zip(&matrix_of)
         .map(|(g, &mi)| {
@@ -408,7 +276,7 @@ fn fold_grouped_padded<const K: usize>(
 fn fold_grouped_runs(
     n: usize,
     universe: &[Code],
-    contributions: &[Contribution],
+    contributions: &[RuleVotes],
     rules_applied: usize,
 ) -> RepairReport {
     let k = universe.len();
@@ -417,10 +285,6 @@ fn fold_grouped_runs(
     // the inner pass does plain indexed loads, not `Arc` chains.
     let ranked_arenas: Vec<Vec<(u32, f64)>> = contributions
         .iter()
-        .filter_map(|c| match c {
-            Contribution::Grouped(g) => Some(g),
-            Contribution::Flat(_) => None,
-        })
         .map(|g| {
             g.cands
                 .iter()
@@ -438,10 +302,6 @@ fn fold_grouped_runs(
     type RunLane<'a> = (&'a [u32], &'a [(u32, u32)], &'a [(u32, f64)]);
     let rules: Vec<RunLane> = contributions
         .iter()
-        .filter_map(|c| match c {
-            Contribution::Grouped(g) => Some(g),
-            Contribution::Flat(_) => None,
-        })
         .zip(&ranked_arenas)
         .map(|(g, ranked)| (g.sigs.as_slice(), g.ranges.as_slice(), ranked.as_slice()))
         .collect();
@@ -512,105 +372,16 @@ fn finish_row(
     }
 }
 
-/// Dense fold: scores land in a `rows × candidates` array indexed by the
-/// candidate's rank in the (ascending-sorted) universe. The winner scan
-/// walks candidates in ascending code order with a strict `>`, so on exact
-/// score ties the smaller code wins — the same total order as the sparse
-/// fold's comparator.
-fn fold_dense(
-    n: usize,
-    universe: &[Code],
-    contributions: &[Contribution],
-    rules_applied: usize,
-) -> RepairReport {
-    let k = universe.len();
-    // No separate hit mask: every vote carries strictly positive mass
-    // (count ≥ 1 times a positive reciprocal), so a slot was voted on
-    // iff its accumulated score is > 0.0.
-    let mut acc = vec![0.0f64; n * k];
-    for contribution in contributions {
-        match contribution {
-            Contribution::Flat(votes) => {
-                for &(row, code, delta) in votes {
-                    // Invariant: the universe scan above saw every vote.
-                    #[allow(clippy::unwrap_used)]
-                    let id = universe.binary_search(&code).unwrap();
-                    acc[row * k + id] += delta;
-                }
-            }
-            Contribution::Grouped(g) => {
-                for (row, &s) in g.sigs.iter().enumerate() {
-                    if s == NO_SIG {
-                        continue;
-                    }
-                    let base = row * k;
-                    for &(code, delta) in g.run(s) {
-                        // Invariant: the universe scan above saw every code.
-                        #[allow(clippy::unwrap_used)]
-                        let id = universe.binary_search(&code).unwrap();
-                        acc[base + id] += delta;
-                    }
-                }
-            }
-        }
-    }
-
-    let mut predictions = Vec::with_capacity(n);
-    let mut scores = Vec::with_capacity(n);
-    let mut candidates = Vec::with_capacity(n);
-    for row in 0..n {
-        let base = row * k;
-        let mut count = 0usize;
-        let mut best: Option<(Code, f64)> = None;
-        for (id, &code) in universe.iter().enumerate() {
-            let score = acc[base + id];
-            if score <= 0.0 {
+/// Sparse fold (one `HashMap` per row) for large candidate universes.
+fn fold_sparse(n: usize, contributions: &[RuleVotes], rules_applied: usize) -> RepairReport {
+    let mut votes: Vec<HashMap<Code, f64>> = vec![HashMap::new(); n];
+    for g in contributions {
+        for (row, &s) in g.sigs.iter().enumerate() {
+            if s == NO_SIG {
                 continue;
             }
-            count += 1;
-            if best.is_none_or(|(_, b)| score > b) {
-                best = Some((code, score));
-            }
-        }
-        candidates.push(count);
-        match best {
-            Some((code, score)) => {
-                predictions.push(Some(code));
-                scores.push(score);
-            }
-            None => {
-                predictions.push(None);
-                scores.push(0.0);
-            }
-        }
-    }
-    RepairReport {
-        predictions,
-        scores,
-        candidates,
-        rules_applied,
-    }
-}
-
-/// Sparse fold (one `HashMap` per row) for large candidate universes.
-fn fold_sparse(n: usize, contributions: &[Contribution], rules_applied: usize) -> RepairReport {
-    let mut votes: Vec<HashMap<Code, f64>> = vec![HashMap::new(); n];
-    for contribution in contributions {
-        match contribution {
-            Contribution::Flat(flat) => {
-                for &(row, code, delta) in flat {
-                    *votes[row].entry(code).or_insert(0.0) += delta;
-                }
-            }
-            Contribution::Grouped(g) => {
-                for (row, &s) in g.sigs.iter().enumerate() {
-                    if s == NO_SIG {
-                        continue;
-                    }
-                    for &(code, delta) in g.run(s) {
-                        *votes[row].entry(code).or_insert(0.0) += delta;
-                    }
-                }
+            for &(code, delta) in g.run(s) {
+                *votes[row].entry(code).or_insert(0.0) += delta;
             }
         }
     }
@@ -767,5 +538,13 @@ mod tests {
         let report = apply_rules(&t, &[]);
         assert_eq!(report.num_predictions(), 0);
         assert_eq!(report.rules_applied, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "different target")]
+    fn rule_with_another_target_panics() {
+        let t = task();
+        let rule = EditingRule::new(vec![(1, 1)], (0, 0), vec![]);
+        apply_rules(&t, &[rule]);
     }
 }

@@ -31,9 +31,9 @@
 //!   and receive its response before its connection closes. The workspace
 //!   forbids `unsafe`, so there is no signal handler; supervisors should
 //!   close stdin (pipe mode) or send `{"op":"shutdown"}`.
-//! * **contained panics** — in socket mode a panic inside a request is
-//!   caught, answered with `{"ok":false,"error":"internal error"}`, and
-//!   counted as `panics` in `stats`; the connection stays open.
+//! * **contained panics** — in pipe and socket mode alike a panic inside a
+//!   request is caught, answered with `{"ok":false,"error":"internal
+//!   error"}`, and counted as `panics` in `stats`; the session stays open.
 //! * **metrics** — request/repair/error counters and p50/p99 latency over a
 //!   sliding window, served by the `stats` op and an optional periodic
 //!   stderr log line.

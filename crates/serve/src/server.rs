@@ -17,6 +17,7 @@ use er_lint::Severity;
 use er_rules::RuleStore;
 use er_table::Value;
 use std::io::{self, BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -126,10 +127,6 @@ impl Server {
             stats.rows_max,
             stats.rows_total,
         );
-        // Run the confluence pass once at startup: a certified rule set
-        // licenses the commutative repair fold for the engine's lifetime
-        // (until an append or reload invalidates the stamp).
-        metrics.set_confluence_certified(engine.restamp_confluence());
         let mut store = RuleStore::new();
         store.commit(&engine.rules_json(), "initial load");
         Server {
@@ -209,7 +206,18 @@ impl Server {
     /// buffer: `repair`/`append` rows are decoded into it instead of fresh
     /// per-request vectors. Returns the response line (without the trailing
     /// newline) and whether the session should close after sending it.
+    ///
+    /// A panic inside the request is contained here, for every transport:
+    /// it is counted as `panics`, answered with `internal error`, and the
+    /// session carries on.
     pub fn handle_line(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
+        catch_unwind(AssertUnwindSafe(|| self.dispatch(line, batch))).unwrap_or_else(|_| {
+            self.metrics.record_panic();
+            (proto::error("internal error"), false)
+        })
+    }
+
+    fn dispatch(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
         let seen = self.metrics.record_request();
         if self.config.log_every > 0 && seen.is_multiple_of(self.config.log_every) {
             eprintln!("{}", self.snapshot().log_line());
@@ -255,10 +263,6 @@ impl Server {
                         self.metrics.record_rejected(&error_codes(&report.findings));
                         return (proto::analysis_rejected("reload", &report), false);
                     }
-                    // Re-check the certificate against the candidate's own
-                    // report: a confluent candidate serves unordered, a
-                    // non-confluent one silently falls back to ordered.
-                    engine.apply_confluence(&report);
                     // The edit-scope gate: diff the live set against the
                     // candidate's canonical document. ER012 (a verdict
                     // change outside the declared scope) refuses the swap.
@@ -276,17 +280,10 @@ impl Server {
                             return (proto::error(&format!("reload diff failed: {e}")), false);
                         }
                     }
-                } else {
-                    // No gate report to reuse: run the confluence pass
-                    // directly so a gate-less reload still re-earns (or
-                    // loses) the unordered-fold license.
-                    engine.restamp_confluence();
                 }
                 let rules = engine.num_rules();
                 let candidate_json = engine.rules_json();
                 self.metrics.set_engine_generation(engine.generation());
-                self.metrics
-                    .set_confluence_certified(engine.confluence_certified());
                 *self.engine.write() = engine;
                 self.metrics.record_reload();
                 let note = match &diff {
@@ -336,7 +333,6 @@ impl Server {
         // reloader (the sole outer writer) stay exclusive with us.
         let engine = self.engine.read();
         let txn = engine.begin_append();
-        let mut gate_report = None;
         if self.config.analysis_gate {
             // A row the preview cannot take will fail the real append with
             // its proper row error; only a clean preview is analyzed.
@@ -348,7 +344,6 @@ impl Server {
                     self.metrics.record_rejected(&error_codes(&report.findings));
                     return (proto::analysis_rejected("append", &report), false);
                 }
-                gate_report = Some(report);
             }
         }
         let result = txn.commit(rows);
@@ -356,16 +351,6 @@ impl Server {
             Ok(outcome) => {
                 self.metrics.record_append();
                 self.metrics.set_engine_generation(outcome.generation);
-                // Committing invalidated the confluence stamp. The gate's
-                // preview report analyzed exactly the combined master this
-                // commit produced (same generation), so it can re-earn the
-                // stamp; a stale or absent report leaves the engine on the
-                // ordered fallback until the next reload.
-                if let Some(report) = &gate_report {
-                    engine.apply_confluence(report);
-                }
-                self.metrics
-                    .set_confluence_certified(engine.confluence_certified());
                 self.publish_shard_stats(&engine);
                 drop(engine);
                 (proto::ok_append(&outcome), false)
@@ -613,7 +598,29 @@ pub fn serve_pipe<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::covid_task;
+    use er_rules::EditingRule;
     use std::io::Cursor;
+
+    #[test]
+    fn pipe_mode_contains_a_request_panic() {
+        let rules = vec![EditingRule::new(vec![(0, 0)], (1, 1), vec![])];
+        let engine = RepairEngine::new(&covid_task(), rules, 0).unwrap();
+        let mut server = Server::new(engine, ServeConfig::default());
+        server.repair_hook = Some(Box::new(|| panic!("injected request panic")));
+        let mut input = Cursor::new(
+            "{\"op\":\"repair\",\"rows\":[[\"HZ\",null]]}\n{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n",
+        );
+        let mut output = Vec::new();
+        serve_pipe(&server, &mut input, &mut output).unwrap();
+        let output = String::from_utf8(output).unwrap();
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 3, "{output}");
+        assert!(lines[0].contains("\"ok\":false"), "{}", lines[0]);
+        assert_eq!(lines[0], proto::error("internal error"));
+        assert_eq!(lines[1], proto::ok_ping());
+        assert!(lines[2].contains("\"panics\":1"), "{}", lines[2]);
+    }
 
     #[test]
     fn bounded_reader_splits_lines() {

@@ -25,17 +25,31 @@
 //! session checks the flag after every read, so a request it has already
 //! dispatched is answered before its connection closes, and a line read
 //! after the drain began is dropped unanswered.
+//!
+//! Every session ends with a lingering close: it shuts its write half, so
+//! the peer gets every answer and then EOF, and discards input until EOF
+//! (bounded in time and bytes) before it drops the socket. Dropping a
+//! socket with unread input makes the kernel reset the connection, which
+//! can destroy answers still in the send buffer — the normal case for a
+//! client that pipelined lines past a `shutdown`. Once the drain has shut
+//! a stream's read half, that EOF comes as soon as the input received so
+//! far is discarded, not when the peer closes.
 
 use crate::proto::RowBatch;
 use crate::server::{read_bounded_line, LineRead, Server};
 use crate::{lock, proto};
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Longest a closing session waits for the peer's EOF.
+const LINGER_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Most unread input a closing session discards while it waits.
+const LINGER_MAX_BYTES: usize = 1 << 20;
 
 /// A running TCP front-end.
 pub struct TcpServer {
@@ -82,17 +96,10 @@ impl Shared {
         Permit(self)
     }
 
-    /// Handle one request line under an execution permit. A panic inside
-    /// the request is contained: it is counted, answered with an error, and
-    /// the session carries on.
+    /// Handle one request line under an execution permit.
     fn execute(&self, line: &str, batch: &mut RowBatch) -> (String, bool) {
         let _permit = self.permit();
-        catch_unwind(AssertUnwindSafe(|| self.server.handle_line(line, batch))).unwrap_or_else(
-            |_| {
-                self.server.metrics().record_panic();
-                (proto::error("internal error"), false)
-            },
-        )
+        self.server.handle_line(line, batch)
     }
 
     /// Begin the drain: flip the flag, unblock every session's read, and
@@ -245,7 +252,30 @@ fn session(shared: &Shared, id: u64, stream: &TcpStream) {
             break;
         }
     }
+    linger_close(stream);
     lock(&shared.live).remove(&id);
+}
+
+/// Shut the write half, then discard input until the peer's EOF, an
+/// error, [`LINGER_TIMEOUT`] or [`LINGER_MAX_BYTES`]. Input the session's
+/// reader had already buffered is dropped with it.
+fn linger_close(mut stream: &TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    let mut scratch = [0u8; 8192];
+    let mut discarded = 0usize;
+    while discarded < LINGER_MAX_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => discarded += n,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -401,59 +401,6 @@ fn eof_ends_the_session_after_answering_everything() {
 }
 
 #[test]
-fn stats_exposes_the_confluence_certificate_across_appends() {
-    // A single rule has zero critical pairs: vacuously certified at startup.
-    let s = server(ServeConfig::default());
-    let responses = session(
-        &s,
-        "{\"op\":\"stats\"}\n\
-         {\"op\":\"append\",\"rows\":[[\"SZ\",\"no symptoms\"]]}\n\
-         {\"op\":\"stats\"}\n",
-    );
-    let certified = |r: &Json| {
-        r.get("stats")
-            .and_then(|s| s.get("confluence_certified"))
-            .cloned()
-    };
-    assert_eq!(
-        certified(&responses[0]),
-        Some(Json::Bool(true)),
-        "{:?}",
-        responses[0]
-    );
-    assert!(ok(&responses[1]), "{:?}", responses[1]);
-    // The gate's preview report analyzed exactly the grown master, so the
-    // append re-earns the stamp for the new generation.
-    assert_eq!(
-        certified(&responses[2]),
-        Some(Json::Bool(true)),
-        "{:?}",
-        responses[2]
-    );
-
-    // Without the gate there is no preview report: the commit invalidates
-    // the certificate and the engine stays on the ordered fallback.
-    let s = server(ServeConfig {
-        analysis_gate: false,
-        ..ServeConfig::default()
-    });
-    let responses = session(
-        &s,
-        "{\"op\":\"stats\"}\n\
-         {\"op\":\"append\",\"rows\":[[\"SZ\",\"no symptoms\"]]}\n\
-         {\"op\":\"stats\"}\n",
-    );
-    assert_eq!(certified(&responses[0]), Some(Json::Bool(true)));
-    assert!(ok(&responses[1]), "{:?}", responses[1]);
-    assert_eq!(
-        certified(&responses[2]),
-        Some(Json::Bool(false)),
-        "{:?}",
-        responses[2]
-    );
-}
-
-#[test]
 fn conflicting_reload_is_rejected_and_the_old_engine_keeps_serving() {
     // The live engine holds the clean single rule City → Case; the reloader
     // offers a set whose strict-subset pair contradicts on a master tuple.

@@ -615,3 +615,50 @@ fn drain_waits_for_a_stalled_reader_and_answers_the_others() {
         .expect("the drain completes once the stalled reader reads");
     joiner.join().unwrap();
 }
+
+/// A client that pipelines lines past a `shutdown` gets every answer up to
+/// the shutdown ack and then a clean EOF, never a reset: the closing
+/// session discards the input it never read instead of dropping the socket
+/// with that input still queued in the kernel.
+#[test]
+fn pipelined_lines_past_a_shutdown_end_in_eof_not_a_reset() {
+    const BEFORE: usize = 20;
+    // Far more than the session reader buffers, so most of it is still
+    // unread in the kernel when the session stops.
+    const AFTER: usize = 2000;
+    let ping = "{\"op\":\"ping\"}\n";
+    let mut payload = ping.repeat(BEFORE);
+    payload.push_str("{\"op\":\"shutdown\"}\n");
+    payload.push_str(&ping.repeat(AFTER));
+    for round in 0..20 {
+        let (_server, tcp, _batch, _) = start(ServeConfig::default());
+        let mut stream = TcpStream::connect(tcp.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(payload.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut answers = Vec::new();
+        loop {
+            let mut line = String::new();
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => answers.push(line),
+                Err(e) => panic!("round {round}: {e} after {} answers", answers.len()),
+            }
+        }
+        assert_eq!(answers.len(), BEFORE + 1, "round {round}: {answers:?}");
+        for answer in &answers[..BEFORE] {
+            assert!(
+                answer.contains("\"op\":\"ping\""),
+                "round {round}: {answer}"
+            );
+        }
+        assert!(
+            answers[BEFORE].contains("\"op\":\"shutdown\""),
+            "round {round}: {}",
+            answers[BEFORE]
+        );
+        tcp.join();
+    }
+}

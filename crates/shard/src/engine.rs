@@ -11,7 +11,7 @@ use er_incr::{AppendOutcome, IncrCounters, IncrEngine};
 use er_rules::{BatchError, EditingRule, RepairReport, VoteStats};
 use er_table::{AttrId, Code, Relation, RelationBuilder, Value};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Result of a sharded repair: per-row predictions, winning scores and
@@ -81,12 +81,6 @@ pub struct ShardedEngine {
     order: RwLock<Vec<u32>>,
     routed: AtomicU64,
     broadcast: AtomicU64,
-    /// Whether every shard holds a live er-analyze confluence-certificate
-    /// stamp. The license for both arrival-order paths: the per-shard
-    /// group fan-out (`BatchRepairer::set_unordered`) and the cross-shard
-    /// merge-on-arrival in [`ShardedEngine::repair_batch`]. Any committed
-    /// append clears it until the serving layer re-runs the pass.
-    certified: AtomicBool,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -124,7 +118,6 @@ impl ShardedEngine {
                 order: RwLock::new(order),
                 routed: AtomicU64::new(0),
                 broadcast: AtomicU64::new(0),
-                certified: AtomicBool::new(false),
             });
         }
         let base_generation = master.generation();
@@ -155,49 +148,7 @@ impl ShardedEngine {
             order: RwLock::new(order),
             routed: AtomicU64::new(0),
             broadcast: AtomicU64::new(0),
-            certified: AtomicBool::new(false),
         })
-    }
-
-    /// Install a confluence-certificate stamp issued at aggregate master
-    /// generation `generation`: every shard switches its group fan-out to
-    /// arrival order and [`ShardedEngine::repair_batch`] merges shard
-    /// answers as they complete instead of in ascending shard order.
-    /// Returns whether the license took — the stamp must match the live
-    /// aggregate generation, else everything stays (or reverts to) ordered.
-    /// Takes every write lock briefly; the engine does not re-verify the
-    /// certificate — callers run the er-analyze confluence pass first.
-    pub fn set_confluence_stamp(&self, generation: u64) -> bool {
-        let _order = self.order.write();
-        let mut shards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let live = self.base_generation + shards.iter().map(|s| s.generation()).sum::<u64>();
-        let ok = generation == live;
-        for shard in &mut shards {
-            if ok {
-                let g = shard.generation();
-                shard.set_confluence_stamp(g);
-            } else {
-                shard.clear_confluence_stamp();
-            }
-        }
-        self.certified.store(ok, Ordering::Release);
-        ok
-    }
-
-    /// Drop the certificate stamp everywhere: every shard's fan-out and
-    /// the cross-shard merge return to their ordered paths.
-    pub fn clear_confluence_stamp(&self) {
-        let _order = self.order.write();
-        let mut shards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        for shard in &mut shards {
-            shard.clear_confluence_stamp();
-        }
-        self.certified.store(false, Ordering::Release);
-    }
-
-    /// Whether the arrival-order paths are currently licensed.
-    pub fn confluence_certified(&self) -> bool {
-        self.certified.load(Ordering::Acquire)
     }
 
     /// The placement plan.
@@ -221,16 +172,12 @@ impl ShardedEngine {
     }
 
     /// Repair one batch: route each row by the plan, fan sub-batches out to
-    /// their shards (in parallel), and merge. Without a confluence stamp
-    /// the merge waits for every shard and applies answers in ascending
-    /// shard order; with one ([`ShardedEngine::set_confluence_stamp`]) each
-    /// shard's answer is merged the moment it completes. Both are bitwise
-    /// identical to the single engine on the same batch — see
-    /// [`merge_shard`] for why arrival order is invisible. The first shard
-    /// error wins (ascending order unstamped, arrival order stamped); the
-    /// distinction matters only for the inherently timing-dependent
-    /// `DeadlineExceeded`, since every other error is identical across
-    /// shards (same rules, schema, and pool everywhere).
+    /// their shards (in parallel), and merge the answers in ascending shard
+    /// order once every shard has returned — bitwise identical to the
+    /// single engine on the same batch (see [`merge_shard`]). The error of
+    /// the lowest failing shard wins; every error but the inherently
+    /// timing-dependent `DeadlineExceeded` is identical across shards
+    /// (same rules, schema, and pool everywhere).
     pub fn repair_batch(
         &self,
         batch: &Relation,
@@ -277,44 +224,6 @@ impl ShardedEngine {
         };
         let mut filled = vec![false; rows];
 
-        if self.certified.load(Ordering::Acquire) {
-            // Certificate-licensed merge-on-arrival: shard answers stream
-            // over a channel and scatter into `merged` as they land, so the
-            // slowest shard no longer serializes the whole collect loop.
-            let mut failure: Option<BatchError> = None;
-            std::thread::scope(|scope| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                for (s, list) in lists.iter().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    let sub = batch.gather(list);
-                    let shard = &self.shards[s];
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        // The receiver drains the channel before the scope
-                        // joins the workers, so this send cannot fail.
-                        let _ = tx.send((s, run_repair(&shard.read(), &sub, deadline)));
-                    });
-                }
-                drop(tx);
-                for (s, result) in rx {
-                    match result {
-                        Ok(report) => {
-                            merge_shard(&mut merged, &mut filled, &routes, &lists[s], s, &report);
-                        }
-                        Err(e) => {
-                            failure.get_or_insert(e);
-                        }
-                    }
-                }
-            });
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            return Ok(merged);
-        }
-
         let mut results: Vec<Option<Result<RepairReport, BatchError>>> =
             (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -359,7 +268,6 @@ impl ShardedEngine {
             base_generation: self.base_generation,
             order: self.order.write(),
             shards: self.shards.iter().map(|s| s.write()).collect(),
-            certified: &self.certified,
         }
     }
 
@@ -397,12 +305,11 @@ impl ShardedEngine {
     }
 }
 
-/// Scatter one shard's report into the merged result. Exact regardless of
-/// the order shards are merged in: a routed row is answered by exactly one
-/// shard, and a broadcast row — NULL routing key, and the routing pair is
-/// in every rule's LHS — fires no rule on any shard, so every shard
-/// reports the identical `(None, 0.0, 0)` for it and `filled` keeping the
-/// first arrival is exact either way.
+/// Scatter one shard's report into the merged result. A routed row is
+/// answered by exactly one shard, and a broadcast row — NULL routing key,
+/// and the routing pair is in every rule's LHS — fires no rule on any
+/// shard, so every shard reports the identical `(None, 0.0, 0)` for it and
+/// `filled` keeping the first shard's answer is exact.
 fn merge_shard(
     merged: &mut ShardedRepair,
     filled: &mut [bool],
@@ -468,7 +375,6 @@ pub struct AppendGuard<'a> {
     base_generation: u64,
     order: RwLockWriteGuard<'a, Vec<u32>>,
     shards: Vec<RwLockWriteGuard<'a, IncrEngine>>,
-    certified: &'a AtomicBool,
 }
 
 impl AppendGuard<'_> {
@@ -499,9 +405,6 @@ impl AppendGuard<'_> {
         if n == 1 {
             let outcome = self.shards[0].append_rows(rows)?;
             self.order.extend(std::iter::repeat_n(0, rows.len()));
-            if !rows.is_empty() {
-                self.invalidate_confluence();
-            }
             return Ok(outcome);
         }
         for (i, row) in rows.iter().enumerate() {
@@ -529,9 +432,6 @@ impl AppendGuard<'_> {
             }
         }
         self.order.extend(homes);
-        if !rows.is_empty() {
-            self.invalidate_confluence();
-        }
         let mut master_rows = 0;
         let mut generation = self.base_generation;
         for shard in &self.shards {
@@ -546,17 +446,6 @@ impl AppendGuard<'_> {
             // per-engine count the single path reports.
             indexes_updated: self.shards[0].num_indexes(),
         })
-    }
-
-    /// A committed append moved the aggregate generation past any held
-    /// confluence stamp: drop the arrival-order license on every shard
-    /// (even ones the append skipped — the certificate covers the combined
-    /// master, not the sub-masters) until the pass re-certifies.
-    fn invalidate_confluence(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear_confluence_stamp();
-        }
-        self.certified.store(false, Ordering::Release);
     }
 }
 
